@@ -1,34 +1,21 @@
-"""Numeric hot loops with a numba fast path and a pure-numpy fallback.
-
-Set DELTAPART_NO_NUMBA=1 to force the numpy implementations (used by the
-benchmark script and as a safety hatch on machines without a working numba).
-"""
+"""Numeric kernels: P1 element matrices and the dense-oracle linear algebra,
+vectorized with numpy."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("DELTAPART_NO_NUMBA", "0") not in ("", "0")
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError
-    import numba
-
-    USING_NUMBA = True
-except ImportError:
-    numba = None
-    USING_NUMBA = False
+# read by the benchmark's machine facts; there is no compiled path
+USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # P1 element matrices
 # ---------------------------------------------------------------------------
 
-def _p1_elements_numpy(nodes: np.ndarray, tris: np.ndarray):
+def p1_elements(nodes: np.ndarray, tris: np.ndarray):
     """Stiffness and consistent mass entries for every triangle.
 
     Returns (stiff, mass, area): stiff and mass have shape (ntri, 9) in
@@ -48,39 +35,11 @@ def _p1_elements_numpy(nodes: np.ndarray, tris: np.ndarray):
     return stiff.reshape(-1, 9), mass.reshape(-1, 9), area
 
 
-def _p1_elements_loops(nodes, tris):
-    m = tris.shape[0]
-    stiff = np.empty((m, 9))
-    mass = np.empty((m, 9))
-    area = np.empty(m)
-    b = np.empty(3)
-    c = np.empty(3)
-    for t in range(m):
-        i0, i1, i2 = tris[t, 0], tris[t, 1], tris[t, 2]
-        x0, y0 = nodes[i0, 0], nodes[i0, 1]
-        x1, y1 = nodes[i1, 0], nodes[i1, 1]
-        x2, y2 = nodes[i2, 0], nodes[i2, 1]
-        b[0] = y1 - y2
-        b[1] = y2 - y0
-        b[2] = y0 - y1
-        c[0] = x2 - x1
-        c[1] = x0 - x2
-        c[2] = x1 - x0
-        a = 0.5 * (b[0] * c[1] - b[1] * c[0])
-        area[t] = a
-        s = 0.25 / a
-        for i in range(3):
-            for j in range(3):
-                stiff[t, 3 * i + j] = s * (b[i] * b[j] + c[i] * c[j])
-                mass[t, 3 * i + j] = a / 12.0 * (2.0 if i == j else 1.0)
-    return stiff, mass, area
-
-
 # ---------------------------------------------------------------------------
 # Dense-oracle linear algebra (independent of LAPACK/ARPACK)
 # ---------------------------------------------------------------------------
 
-def _cholesky_lower_numpy(a: np.ndarray) -> np.ndarray:
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     L = np.zeros_like(a)
     for j in range(n):
@@ -93,25 +52,7 @@ def _cholesky_lower_numpy(a: np.ndarray) -> np.ndarray:
     return L
 
 
-def _cholesky_lower_loops(a):
-    n = a.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        s = a[j, j]
-        for k in range(j):
-            s -= L[j, k] * L[j, k]
-        if s <= 0.0:
-            return np.full((0, 0), np.nan)
-        L[j, j] = math.sqrt(s)
-        for i in range(j + 1, n):
-            s = a[i, j]
-            for k in range(j):
-                s -= L[i, k] * L[j, k]
-            L[i, j] = s / L[j, j]
-    return L
-
-
-def _solve_lower_numpy(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = L.shape[0]
     x = b.astype(float).copy()
     for i in range(n):
@@ -121,20 +62,7 @@ def _solve_lower_numpy(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_lower_loops(L, b):
-    n = L.shape[0]
-    m = b.shape[1]
-    x = b.copy()
-    for c in range(m):
-        for i in range(n):
-            s = x[i, c]
-            for k in range(i):
-                s -= L[i, k] * x[k, c]
-            x[i, c] = s / L[i, i]
-    return x
-
-
-def _tridiagonalize_numpy(a: np.ndarray):
+def tridiagonalize(a: np.ndarray):
     """Householder reduction to tridiagonal form; eigenvalues only."""
     a = a.copy()
     n = a.shape[0]
@@ -164,54 +92,7 @@ def _tridiagonalize_numpy(a: np.ndarray):
     return np.diag(a).copy(), e
 
 
-def _tridiagonalize_loops(a):
-    a = a.copy()
-    n = a.shape[0]
-    e = np.zeros(max(n - 1, 0))
-    v = np.zeros(n)
-    w = np.zeros(n)
-    for k in range(n - 2):
-        m = n - k - 1
-        nrm = 0.0
-        for i in range(m):
-            v[i] = a[k + 1 + i, k]
-            nrm += v[i] * v[i]
-        nrm = math.sqrt(nrm)
-        if nrm == 0.0:
-            e[k] = 0.0
-            continue
-        alpha = -nrm if v[0] >= 0.0 else nrm
-        v[0] -= alpha
-        vv = 0.0
-        for i in range(m):
-            vv += v[i] * v[i]
-        e[k] = alpha
-        if vv == 0.0:
-            continue
-        beta = 2.0 / vv
-        for i in range(m):
-            s = 0.0
-            for j in range(m):
-                s += a[k + 1 + i, k + 1 + j] * v[j]
-            w[i] = beta * s
-        kappa = 0.0
-        for i in range(m):
-            kappa += v[i] * w[i]
-        kappa *= 0.5 * beta
-        for i in range(m):
-            w[i] -= kappa * v[i]
-        for i in range(m):
-            for j in range(m):
-                a[k + 1 + i, k + 1 + j] -= v[i] * w[j] + w[i] * v[j]
-    if n >= 2:
-        e[n - 2] = a[n - 1, n - 2]
-    d = np.empty(n)
-    for i in range(n):
-        d[i] = a[i, i]
-    return d, e
-
-
-def _sturm_count_numpy(d, e2, xs):
+def _sturm_count(d, e2, xs):
     """Number of eigenvalues of the tridiagonal matrix strictly below each x."""
     n = d.shape[0]
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -226,7 +107,7 @@ def _sturm_count_numpy(d, e2, xs):
     return cnt
 
 
-def _tridiag_eigenvalues_numpy(d, e):
+def tridiag_eigenvalues(d, e):
     n = d.shape[0]
     if n == 0:
         return np.zeros(0)
@@ -243,77 +124,10 @@ def _tridiag_eigenvalues_numpy(d, e):
     target = np.arange(1, n + 1)
     for _ in range(100):
         mid = 0.5 * (los + his)
-        cnt = _sturm_count_numpy(d, e2, mid)
+        cnt = _sturm_count(d, e2, mid)
         below = cnt < target
         los = np.where(below, mid, los)
         his = np.where(below, his, mid)
         if np.max(his - los) < 1e-15 * span:
             break
     return 0.5 * (los + his)
-
-
-def _tridiag_eigenvalues_loops(d, e):
-    n = d.shape[0]
-    out = np.empty(n)
-    if n == 0:
-        return out
-    e2 = np.empty(max(n - 1, 0))
-    for i in range(n - 1):
-        e2[i] = e[i] * e[i]
-    lo = d[0]
-    hi = d[0]
-    for i in range(n):
-        r = 0.0
-        if i > 0:
-            r += abs(e[i - 1])
-        if i < n - 1:
-            r += abs(e[i])
-        if d[i] - r < lo:
-            lo = d[i] - r
-        if d[i] + r > hi:
-            hi = d[i] + r
-    span = hi - lo
-    if span < 1.0:
-        span = 1.0
-    tiny = 2.2250738585072014e-308
-    for idx in range(n):
-        a = lo
-        b = hi
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            q = d[0] - mid
-            cnt = 1 if q < 0.0 else 0
-            for i in range(1, n):
-                if abs(q) < tiny:
-                    q = -tiny if q < 0.0 else tiny
-                q = d[i] - mid - e2[i - 1] / q
-                if q < 0.0:
-                    cnt += 1
-            if cnt < idx + 1:
-                a = mid
-            else:
-                b = mid
-            if b - a < 1e-15 * span:
-                break
-        out[idx] = 0.5 * (a + b)
-    return out
-
-
-if USING_NUMBA:
-    p1_elements = numba.njit(cache=True)(_p1_elements_loops)
-    cholesky_lower = numba.njit(cache=True)(_cholesky_lower_loops)
-    solve_lower = numba.njit(cache=True)(_solve_lower_loops)
-    tridiagonalize = numba.njit(cache=True)(_tridiagonalize_loops)
-    tridiag_eigenvalues = numba.njit(cache=True)(_tridiag_eigenvalues_loops)
-else:
-    p1_elements = _p1_elements_numpy
-
-    def cholesky_lower(a):
-        try:
-            return _cholesky_lower_numpy(a)
-        except np.linalg.LinAlgError:
-            return np.full((0, 0), np.nan)
-
-    solve_lower = _solve_lower_numpy
-    tridiagonalize = _tridiagonalize_numpy
-    tridiag_eigenvalues = _tridiag_eigenvalues_numpy

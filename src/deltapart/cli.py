@@ -32,7 +32,6 @@ class ConfigError(ValueError):
 class SolverConfig:
     k: int = 6
     tol: float = 1e-8
-    max_iter: int = 5000
     seed: int = 0
     deterministic: bool = False
 
@@ -135,7 +134,7 @@ def _strength(obj, key, default, positive):
     return float(v)
 
 
-_SOLVER_KEYS = {"k", "tol", "max_iter", "seed", "deterministic"}
+_SOLVER_KEYS = {"k", "tol", "seed", "deterministic"}
 _TOP_KEYS = {"geometry", "box_radius", "levels", "bc", "alpha", "beta",
              "threshold", "solver", "experiment", "format"}
 
@@ -149,10 +148,6 @@ def _parse_solver(obj) -> SolverConfig:
     k = obj.get("k", 6)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ConfigError(f"solver.k: expected a positive integer, got {k!r}")
-    max_iter = obj.get("max_iter", 5000)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ConfigError(
-            f"solver.max_iter: expected a positive integer, got {max_iter!r}")
     tol = _number(obj, "solver.tol", default=1e-8, positive=True)
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -161,8 +156,7 @@ def _parse_solver(obj) -> SolverConfig:
     if not isinstance(det, bool):
         raise ConfigError(
             f"solver.deterministic: expected a boolean, got {_typename(det)}")
-    return SolverConfig(k=k, tol=tol, max_iter=max_iter, seed=seed,
-                        deterministic=det)
+    return SolverConfig(k=k, tol=tol, seed=seed, deterministic=det)
 
 
 def parse_config(text: str) -> Config:

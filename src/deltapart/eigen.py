@@ -54,23 +54,20 @@ def _residuals(A, M, vals, V):
     return out
 
 
-def _certified_lower_bound(A, M) -> float:
-    """A bound lb <= lambda_min(A, M), so a shift below lb makes shift-invert
-    Lanczos provably target the bottom of the pencil.
+def gershgorin_lower_bound(excess: np.ndarray, M) -> float:
+    """Certified lower bound lb <= lambda_min(A, M) for a P1 mass matrix M,
+    given a per-row excess e with A + diag(e) psd (by Gershgorin, whenever
+    A + diag(e) is diagonally dominant with nonnegative diagonal).
 
-    Uses the lumped diagonal L of M: Gershgorin gives the smallest c with
-    A + cL psd, and L <= 4M in the psd order for P1 mass matrices, hence
-    v'Av >= -c v'Lv >= -4c v'Mv."""
-    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(A)
-    M = M.tocsr() if sp.issparse(M) else sp.csr_matrix(M)
+    With the lumped mass L = diag(M 1) and c = max(0, max_i e_i / L_ii),
+    A >= -diag(e) >= -c L, and L <= 4M in the psd order for P1 mass
+    matrices, hence v'Av >= -4c v'Mv.  A shift below lb makes shift-invert
+    Lanczos provably target the bottom of the pencil."""
     lump = np.asarray(M.sum(axis=1)).ravel()
     if np.any(lump <= 0.0):
-        # lumping not positive; fall back to the crude operator-norm bound
-        return -float(spla.norm(A, np.inf) / np.min(M.diagonal()))
-    diag = A.diagonal()
-    row_abs = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
-    c = float(np.max((row_abs - diag) / lump))
-    return -4.0 * max(c, 0.0)
+        raise ValueError("lumped mass is not positive; pass lower_bound")
+    c = float(np.max(excess / lump, initial=0.0))
+    return -4.0 * c if c > 0.0 else 0.0
 
 
 def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
@@ -103,8 +100,12 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     ncv = min(n - 1, max(4 * k + 10, 40))
     # stage 1: shift below the certified bound, so the nearest-to-shift
     # eigenvalue is provably the bottom; loose tolerance keeps it cheap
-    lb = _certified_lower_bound(A, M) if lower_bound is None else float(lower_bound)
-    sigma1 = lb - 1.0
+    if lower_bound is None:
+        Ac = sp.csr_matrix(A)
+        diag = Ac.diagonal()
+        excess = np.asarray(abs(Ac).sum(axis=1)).ravel() - np.abs(diag) - diag
+        lower_bound = gershgorin_lower_bound(excess, M)
+    sigma1 = float(lower_bound) - 1.0
     rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v0,
                        ncv=min(n - 1, 40), maxiter=5000, tol=1e-5,
                        return_eigenvectors=False)
@@ -140,9 +141,10 @@ def dense_eigen_oracle(A, M) -> np.ndarray:
         raise ValueError(f"oracle capped at 2500 dofs, got {n}")
     Ad = np.ascontiguousarray(A.toarray() if sp.issparse(A) else A, dtype=float)
     Md = np.ascontiguousarray(M.toarray() if sp.issparse(M) else M, dtype=float)
-    L = _kernels.cholesky_lower(Md)
-    if L.shape[0] == 0:
-        raise ValueError("mass matrix is not positive definite")
+    try:
+        L = _kernels.cholesky_lower(Md)
+    except np.linalg.LinAlgError:
+        raise ValueError("mass matrix is not positive definite") from None
     X = _kernels.solve_lower(L, Ad)                      # L^-1 A
     C = _kernels.solve_lower(L, np.ascontiguousarray(X.T)).T  # L^-1 A L^-T
     C = np.ascontiguousarray(0.5 * (C + C.T))

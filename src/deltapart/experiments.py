@@ -282,14 +282,10 @@ def _broken_rayleigh_local(m: mesh.Mesh, d: geometry.InteractionData,
     """Broken-form Rayleigh quotient of a full broken vector, assembled only
     over elements meeting the support of f (identical to the value on the
     fully assembled Neumann form)."""
-    dof_node, dof_sub, sub_node_dof = layout
-    nz = np.abs(f) > 0.0
-    tri_lut = np.empty((m.n_triangles, 3), dtype=np.int64)
-    for sid, lut in sub_node_dof.items():
-        tmask = m.tri_subdomain == sid
-        tri_lut[tmask] = lut[m.triangles[tmask]]
-    active = nz[tri_lut].any(axis=1)
-    tl = tri_lut[active]
+    sub_node_dof = layout[2]
+    tri_dofs = forms.broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles)
+    active = (np.abs(f) > 0.0)[tri_dofs].any(axis=1)
+    tl = tri_dofs[active]
     stiff, mass, _ = _kernels.p1_elements(
         np.ascontiguousarray(m.nodes), np.ascontiguousarray(m.triangles[active]))
     v = f[tl]                                            # (na, 3) possibly complex
@@ -297,18 +293,9 @@ def _broken_rayleigh_local(m: mesh.Mesh, d: geometry.InteractionData,
     Mm = np.asarray(mass).reshape(-1, 3, 3)
     num = float(np.real(np.einsum("ti,tij,tj->", np.conj(v), S, v)))
     den = float(np.real(np.einsum("ti,tij,tj->", np.conj(v), Mm, v)))
-    E = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    for q in range(m.iface_edge_nodes.shape[0]):
-        a, b = (int(x) for x in m.iface_edge_nodes[q])
-        kk, ll = (int(x) for x in m.iface_edge_kl[q])
-        ak, bk = int(sub_node_dof[kk][a]), int(sub_node_dof[kk][b])
-        al, bl = int(sub_node_dof[ll][a]), int(sub_node_dof[ll][b])
-        jd = np.array([f[ak] - f[al], f[bk] - f[bl]])
-        if not np.any(np.abs(jd) > 0.0):
-            continue
-        w = float(m.iface_edge_length[q])
-        c = 1.0 / d.beta[int(m.iface_edge_id[q])]
-        num -= c * w * float(np.real(np.conj(jd) @ (E @ jd)))
+    jd, jl = forms.jump_coupling(m, d.beta, sub_node_dof)
+    vj = f[jd]
+    num += float(np.real(np.einsum("qi,qij,qj->", np.conj(vj), jl, vj)))
     if den <= 0.0:
         raise ValueError("test function vanishes on the mesh")
     return num / den

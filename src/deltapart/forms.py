@@ -11,7 +11,7 @@ from typing import Dict
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
+from . import _kernels, eigen
 from .geometry import InteractionData, PhaseAssignment
 from .mesh import Mesh
 
@@ -81,12 +81,11 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
-def _element_entries(m: Mesh):
-    tris = np.ascontiguousarray(m.triangles)
-    stiff, mass, area = _kernels.p1_elements(np.ascontiguousarray(m.nodes), tris)
-    rows = np.repeat(tris, 3, axis=1).reshape(-1)        # i index, row-major (i, j)
-    cols = np.tile(tris, (1, 3)).reshape(-1)
-    return rows, cols, np.asarray(stiff).reshape(-1), np.asarray(mass).reshape(-1), area
+def _coo_pattern(dofs: np.ndarray):
+    """COO (rows, cols) of one dense local matrix per row of dofs, local
+    matrix by local matrix, each in row-major (i, j) order."""
+    r = dofs.shape[1]
+    return np.repeat(dofs, r, axis=1).reshape(-1), np.tile(dofs, (1, r)).reshape(-1)
 
 
 def _accumulate_csr(rows, cols, vals, n):
@@ -103,63 +102,75 @@ def _accumulate_csr(rows, cols, vals, n):
     return sp.csr_matrix((sums, (r[first], c[first])), shape=(n, n))
 
 
-def _coupling_lower_bound(rows, vals, M):
-    """Certified lower bound on lambda_min(A, M) when A = (psd stiffness)
-    + the given boundary entries: the entries satisfy C <= c * lump(M) by
-    Gershgorin row sums, and lump(M) <= 4 M for P1 mass, so A >= -4c M."""
-    lump = np.asarray(M.sum(axis=1)).ravel()
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    if rows.size == 0:
-        return 0.0
-    absrow = np.zeros(lump.shape[0])
-    np.add.at(absrow, rows, np.abs(np.asarray(vals, dtype=float).ravel()))
-    used = absrow > 0.0
-    c = float(np.max(absrow[used] / lump[used]))
-    return -4.0 * c
+# P1 edge mass of an edge (a, b) is length/6 * _EDGE_MASS; the trace jump
+# (a_k - a_l, b_k - b_l) of the broken dofs (a_k, b_k, a_l, b_l) turns it
+# into length/6 * _JUMP_MASS
+_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
+_JUMP_MASS = np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), _EDGE_MASS)
 
 
-def _reduce(A, M, keep_mask):
-    keep = np.flatnonzero(keep_mask)
-    full_to_red = np.full(keep_mask.shape[0], -1, dtype=np.int64)
+def _edge_weights(m: Mesh, strength: Dict[int, float]) -> np.ndarray:
+    """Per-interface-edge value of an interface id -> strength map."""
+    ids, inv = np.unique(m.iface_edge_id, return_inverse=True)
+    for iid in ids:
+        if int(iid) not in strength:
+            raise KeyError(f"interface id {int(iid)} missing from InteractionData")
+    return np.array([strength[int(iid)] for iid in ids], dtype=float)[inv]
+
+
+def _edge_coupling(dofs, weight, length, pattern):
+    """Per-edge dofs and local matrices -weight * length/6 * pattern, edge
+    by edge; edges of zero weight are dropped."""
+    keep = weight != 0.0
+    t = -weight[keep] * (length[keep] / 6.0)
+    return dofs[keep], t[:, None, None] * pattern
+
+
+def jump_coupling(m: Mesh, beta: Dict[int, float], sub_node_dof):
+    """Broken dofs (a_k, b_k, a_l, b_l) and local matrices of the
+    beta-inverse-weighted edge mass of the trace jump, per interface edge."""
+    kl, ab = m.iface_edge_kl, m.iface_edge_nodes
+    dofs = broken_dofs(sub_node_dof, np.repeat(kl, 2, axis=1), np.tile(ab, (1, 2)))
+    return _edge_coupling(dofs, 1.0 / _edge_weights(m, beta),
+                          m.iface_edge_length, _JUMP_MASS)
+
+
+def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node):
+    """P1 stiffness of the triangles tris (on dofs tri_dofs) plus the edge
+    coupling, P1 mass, the coupling bound, and the Dirichlet reduction of
+    the dofs on outer-boundary nodes."""
+    n = dof_node.size
+    stiff, mass, _ = _kernels.p1_elements(np.ascontiguousarray(m.nodes),
+                                          np.ascontiguousarray(tris))
+    er, ec = _coo_pattern(tri_dofs)
+    jr, jc = _coo_pattern(edge_dofs)
+    jv = edge_local.reshape(-1)
+    A = _accumulate_csr([er, jr], [ec, jc], [stiff, jv], n)
+    M = _accumulate_csr([er], [ec], [mass], n)
+    # the coupling's absolute row sums are a Gershgorin excess over the
+    # psd stiffness
+    excess = np.zeros(n)
+    np.add.at(excess, jr, np.abs(jv))
+    bound = eigen.gershgorin_lower_bound(excess, M)
+    outer = np.zeros(m.n_nodes, dtype=bool)
+    if bc == "dirichlet":
+        outer[m.outer_boundary_nodes] = True
+    keep = np.flatnonzero(~outer[dof_node])
+    full_to_red = np.full(n, -1, dtype=np.int64)
     full_to_red[keep] = np.arange(keep.size)
     A = A.tocsr()[keep][:, keep]
     M = M.tocsr()[keep][:, keep]
-    return A, M, full_to_red, keep
-
-
-def _interface_alpha_entries(m: Mesh, strength: Dict[int, float]):
-    """COO entries of -sum_I s_I * (edge mass on interface I), continuous dofs."""
-    rows, cols, vals = [], [], []
-    for q in range(m.iface_edge_nodes.shape[0]):
-        iid = int(m.iface_edge_id[q])
-        s = strength[iid]
-        if s == 0.0:
-            continue
-        a, b = (int(x) for x in m.iface_edge_nodes[q])
-        w = m.iface_edge_length[q] / 6.0
-        rows += [a, a, b, b]
-        cols += [a, b, a, b]
-        vals += [-2.0 * s * w, -s * w, -s * w, -2.0 * s * w]
-    return rows, cols, vals
+    return A, M, full_to_red, keep, bound
 
 
 def assemble_delta(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> DiscreteForm:
     """Continuous P1 form: stiffness minus alpha-weighted edge mass on the
     interfaces, with the exact P1 edge and element mass matrices."""
     _check_bc(bc)
-    for itf_id in np.unique(m.iface_edge_id):
-        if int(itf_id) not in d.alpha:
-            raise KeyError(f"interface id {int(itf_id)} missing from InteractionData")
-    n = m.n_nodes
-    er, ec, es, em, _ = _element_entries(m)
-    ir, ic, iv = _interface_alpha_entries(m, d.alpha)
-    A = _accumulate_csr([er, ir], [ec, ic], [es, iv], n)
-    M = _accumulate_csr([er], [ec], [em], n)
-    bound = _coupling_lower_bound(ir, iv, M)
-    keep_mask = np.ones(n, dtype=bool)
-    if bc == "dirichlet":
-        keep_mask[m.outer_boundary_nodes] = False
-    A, M, full_to_red, keep = _reduce(A, M, keep_mask)
+    jd, jl = _edge_coupling(m.iface_edge_nodes, _edge_weights(m, d.alpha),
+                            m.iface_edge_length, _EDGE_MASS)
+    A, M, full_to_red, keep, bound = _assemble(
+        m, bc, m.triangles, m.triangles, jd, jl, np.arange(m.n_nodes))
     return DiscreteForm(A, M, "continuous", bc, m, d,
                         dof_node=keep, dof_subdomain=np.zeros(keep.size, dtype=np.int64),
                         full_to_red=full_to_red, coercivity_bound=bound)
@@ -185,56 +196,25 @@ def broken_dof_layout(m: Mesh):
     return np.concatenate(dof_node), np.concatenate(dof_sub), sub_node_dof
 
 
+def broken_dofs(sub_node_dof, sids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Broken dofs of nodes in the given subdomains, for the sub_node_dof
+    of `broken_dof_layout`; sids has the shape of nodes or of its leading
+    axis (one subdomain per row, e.g. per triangle)."""
+    out = np.empty(nodes.shape, dtype=np.int64)
+    for sid, lut in sub_node_dof.items():
+        mask = sids == sid
+        out[mask] = lut[nodes[mask]]
+    return out
+
+
 def assemble_delta_prime(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> DiscreteForm:
     """Broken P1 form: per-subdomain stiffness blocks minus the
     beta-inverse-weighted edge mass of the trace jump across interfaces."""
     _check_bc(bc)
-    for itf_id in np.unique(m.iface_edge_id):
-        if int(itf_id) not in d.beta:
-            raise KeyError(f"interface id {int(itf_id)} missing from InteractionData")
     dof_node, dof_sub, sub_node_dof = broken_dof_layout(m)
-    n = dof_node.size
-    er, ec, es, em, _ = _element_entries(m)
-    # re-index element entries per owning subdomain
-    tri_lut = np.empty((m.n_triangles, 3), dtype=np.int64)
-    for sid, lut in sub_node_dof.items():
-        mask = m.tri_subdomain == sid
-        tri_lut[mask] = lut[m.triangles[mask]]
-    brows = np.repeat(tri_lut, 3, axis=1).reshape(-1)
-    bcols = np.tile(tri_lut, (1, 3)).reshape(-1)
-    rows, cols, vals = [brows], [bcols], [es]
-    jr, jc, jv = [], [], []
-    for q in range(m.iface_edge_nodes.shape[0]):
-        iid = int(m.iface_edge_id[q])
-        c = 1.0 / d.beta[iid]
-        if c == 0.0:
-            continue
-        a, b = (int(x) for x in m.iface_edge_nodes[q])
-        k, l = (int(x) for x in m.iface_edge_kl[q])
-        ak, bk = int(sub_node_dof[k][a]), int(sub_node_dof[k][b])
-        al, bl = int(sub_node_dof[l][a]), int(sub_node_dof[l][b])
-        w = m.iface_edge_length[q] / 6.0
-        # -c * [jump]^T E [jump] with E = w*[[2,1],[1,2]]
-        loc = [ak, bk, al, bl]
-        E = np.array([[2.0, 1.0], [1.0, 2.0]]) * w
-        L = -c * np.block([[E, -E], [-E, E]])
-        for i in range(4):
-            for j in range(4):
-                jr.append(loc[i])
-                jc.append(loc[j])
-                jv.append(L[i, j])
-    rows.append(np.asarray(jr, dtype=np.int64))
-    cols.append(np.asarray(jc, dtype=np.int64))
-    vals.append(np.asarray(jv))
-    A = _accumulate_csr(rows, cols, vals, n)
-    M = _accumulate_csr([brows], [bcols], [em], n)
-    bound = _coupling_lower_bound(jr, jv, M)
-    keep_mask = np.ones(n, dtype=bool)
-    if bc == "dirichlet":
-        outer = np.zeros(m.n_nodes, dtype=bool)
-        outer[m.outer_boundary_nodes] = True
-        keep_mask = ~outer[dof_node]
-    A, M, full_to_red, keep = _reduce(A, M, keep_mask)
+    jd, jl = jump_coupling(m, d.beta, sub_node_dof)
+    tri_dofs = broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles)
+    A, M, full_to_red, keep, bound = _assemble(m, bc, m.triangles, tri_dofs, jd, jl, dof_node)
     return DiscreteForm(A, M, "broken", bc, m, d,
                         dof_node=dof_node[keep], dof_subdomain=dof_sub[keep],
                         full_to_red=full_to_red, coercivity_bound=bound)
@@ -249,36 +229,15 @@ def assemble_subdomain_robin(m: Mesh, k: int, gamma: float,
     mask = m.tri_subdomain == k
     if not np.any(mask):
         raise ValueError(f"no triangles in subdomain {k}")
-    nodes = np.unique(m.triangles[mask])
+    tris = m.triangles[mask]
+    nodes = np.unique(tris)
     lut = np.full(m.n_nodes, -1, dtype=np.int64)
     lut[nodes] = np.arange(nodes.size)
-    er, ec, es, em, _ = _element_entries(m)
-    sel = np.repeat(mask, 9)
-    rows = [lut[er[sel]]]
-    cols = [lut[ec[sel]]]
-    avals = [es[sel]]
-    jr, jc, jv = [], [], []
-    for q in range(m.iface_edge_nodes.shape[0]):
-        if k not in (int(m.iface_edge_kl[q, 0]), int(m.iface_edge_kl[q, 1])):
-            continue
-        a, b = (int(lut[x]) for x in m.iface_edge_nodes[q])
-        w = m.iface_edge_length[q] / 6.0
-        jr += [a, a, b, b]
-        jc += [a, b, a, b]
-        jv += [-2.0 * gamma * w, -gamma * w, -gamma * w, -2.0 * gamma * w]
-    rows.append(np.asarray(jr, dtype=np.int64))
-    cols.append(np.asarray(jc, dtype=np.int64))
-    avals.append(np.asarray(jv))
-    n = nodes.size
-    A = _accumulate_csr(rows, cols, avals, n)
-    M = _accumulate_csr([rows[0]], [cols[0]], [em[sel]], n)
-    bound = _coupling_lower_bound(jr, jv, M)
-    keep_mask = np.ones(n, dtype=bool)
-    if bc == "dirichlet":
-        outer = np.zeros(m.n_nodes, dtype=bool)
-        outer[m.outer_boundary_nodes] = True
-        keep_mask = ~outer[nodes]
-    A, M, full_to_red, keep = _reduce(A, M, keep_mask)
+    on_k = np.any(m.iface_edge_kl == k, axis=1)
+    jd, jl = _edge_coupling(lut[m.iface_edge_nodes[on_k]],
+                            np.full(int(on_k.sum()), float(gamma)),
+                            m.iface_edge_length[on_k], _EDGE_MASS)
+    A, M, full_to_red, keep, bound = _assemble(m, bc, tris, lut[tris], jd, jl, nodes)
     return DiscreteForm(A, M, "continuous", bc, m, None,
                         dof_node=nodes[keep],
                         dof_subdomain=np.full(keep.size, k, dtype=np.int64),
@@ -390,11 +349,9 @@ def indicator_form_value(bf: DiscreteForm, k: int) -> float:
     if bf.space != "broken" or bf.interaction is None:
         raise ValueError("indicator values are defined for assembled broken forms")
     m = bf.mesh
-    total = 0.0
-    for q in range(m.iface_edge_nodes.shape[0]):
-        if k in (int(m.iface_edge_kl[q, 0]), int(m.iface_edge_kl[q, 1])):
-            total += m.iface_edge_length[q] / bf.interaction.beta[int(m.iface_edge_id[q])]
-    return -total
+    touch = np.any(m.iface_edge_kl == k, axis=1)
+    beta = _edge_weights(m, bf.interaction.beta)
+    return -float(np.sum(m.iface_edge_length[touch] / beta[touch]))
 
 
 def export_matrix(a: sp.spmatrix) -> str:

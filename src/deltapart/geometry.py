@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -101,10 +100,6 @@ class InteractionData:
 class Graph:
     nodes: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]   # sorted pairs, each (u, v) with u < v
-
-    def neighbours(self, u: int) -> Tuple[int, ...]:
-        out = [b if a == u else a for (a, b) in self.edges if u in (a, b)]
-        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -597,16 +592,24 @@ def chromatic_colouring(g: Graph) -> Colouring:
         adj[pos[b]].add(pos[a])
     if not g.edges:
         return Colouring(1, {v: 0 for v in order})
-    G = nx.Graph()
-    G.add_nodes_from(range(n))
-    G.add_edges_from((pos[a], pos[b]) for a, b in g.edges)
-    lower = max(len(c) for c in nx.find_cliques(G))
+    lower = _clique_number(set(range(n)), adj)
     upper = _greedy_bound(n, adj)
     for m in range(lower, upper + 1):
         assign = _try_colour(n, adj, m)
         if assign is not None:
             return Colouring(m, {order[i]: assign[i] for i in range(n)})
     raise AssertionError("greedy bound should always be feasible")
+
+
+def _clique_number(cand: set, adj: List[set]) -> int:
+    """Size of a largest clique within cand (exhaustive; n <= 24)."""
+    best = 0
+    for v in list(cand):
+        best = max(best, 1 + _clique_number(cand & adj[v], adj))
+        cand = cand - {v}
+        if len(cand) <= best:
+            break
+    return best
 
 
 def _greedy_bound(n: int, adj: List[set]) -> int:

@@ -97,6 +97,14 @@ def test_config_file_errors(tmp_path, capsys):
     assert "box_radius" in capsys.readouterr().err
 
 
+def test_solver_max_iter_rejected(tmp_path, capsys):
+    f = tmp_path / "cfg.json"
+    f.write_text('{"geometry":{"name":"star3"},"box_radius":4,"levels":1,'
+                 '"solver":{"k":2,"max_iter":5000}}')
+    assert cli.main(["partition", "info", "--config", str(f)]) == 1
+    assert "solver.max_iter" in capsys.readouterr().err
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     f = tmp_path / "cfg.json"

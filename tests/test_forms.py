@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deltapart import eigen, forms, geometry, mesh
+from deltapart import eigen, experiments, forms, geometry, mesh
 
 
 def _setup(name, levels, alpha=1.0, beta=2.0, box_radius=4.0, **params):
@@ -197,3 +199,131 @@ def test_export_matrix_roundtrip():
     coo = df.A.tocoo()
     for r, c, val in zip(coo.row, coo.col, coo.data):
         assert rebuilt[(int(r), int(c))] == val   # repr round-trips exactly
+
+
+def test_jump_coupling_against_edge_loop():
+    """The vectorized jump coupling, on the assembled form and in the local
+    Rayleigh quotient, against a per-edge loop over the trace jumps."""
+    p, m, _ = _setup("star3", 2)
+    beta = {itf.id: 0.5 + itf.id for itf in p.interfaces}
+    d = geometry.InteractionData({i: 0.0 for i in beta}, beta)
+    bf = forms.assemble_delta_prime(m, d, "neumann")
+    stiff = forms.assemble_delta_prime(
+        m, geometry.InteractionData(d.alpha, {i: np.inf for i in beta}), "neumann")
+    _, _, sub_node_dof = forms.broken_dof_layout(m)
+    f = np.random.default_rng(5).standard_normal(bf.n_dofs)
+    expect = 0.0
+    for q in range(m.iface_edge_nodes.shape[0]):
+        a, b = m.iface_edge_nodes[q]
+        k, l = m.iface_edge_kl[q]
+        jump = np.array([f[sub_node_dof[k][a]] - f[sub_node_dof[l][a]],
+                         f[sub_node_dof[k][b]] - f[sub_node_dof[l][b]]])
+        E = np.array([[2.0, 1.0], [1.0, 2.0]]) * m.iface_edge_length[q] / 6.0
+        expect -= jump @ E @ jump / beta[int(m.iface_edge_id[q])]
+    got = forms.form_value(bf, f) - forms.form_value(stiff, f)
+    assert got == pytest.approx(expect, rel=1e-12)
+    local = experiments._broken_rayleigh_local(m, d, forms.broken_dof_layout(m), f)
+    assert local == pytest.approx(forms.rayleigh(bf, f), rel=1e-12)
+
+
+def test_subdomain_robin_zero_gamma_is_stiffness():
+    """gamma = 0 leaves the Neumann stiffness of the subdomain, whose
+    constants give 0, with the trivial bound 0."""
+    _, m, _ = _setup("wedge", 2)
+    df = forms.assemble_subdomain_robin(m, 1, 0.0, "neumann")
+    assert df.coercivity_bound == 0.0
+    assert np.max(np.abs(df.A @ np.ones(df.n_dofs))) <= 1e-12
+    robin = forms.assemble_subdomain_robin(m, 1, 0.5, "neumann")
+    assert robin.coercivity_bound < 0.0
+    assert (robin.A - df.A).nnz > 0
+
+
+# -- property tests of the interface-edge assembler -------------------------
+
+_MULTI_INTERFACE = [("star3", {}), ("grid", {"variant": "chi4"}),
+                    ("line_with_bump", {}), ("grid", {})]
+
+
+def _check_assembled_forms(p, m, d):
+    """Exact identities of both operators under per-interface alpha/beta."""
+    ids = p.subdomain_ids()
+    for bc in ("dirichlet", "neumann"):
+        for df in (forms.assemble_delta(m, d, bc),
+                   forms.assemble_delta_prime(m, d, bc)):
+            assert (df.A != df.A.T).nnz == 0             # bitwise symmetric
+            assert (df.M != df.M.T).nnz == 0
+            if bc == "neumann":
+                lam1 = sla.eigh(df.A.toarray(), df.M.toarray(),
+                                eigvals_only=True, subset_by_index=[0, 0])[0]
+                assert df.coercivity_bound <= lam1 + 1e-12 * max(1.0, abs(lam1))
+    # constants lie in the stiffness kernel: 1'A1 = -sum_I alpha_I |I|
+    cn = forms.assemble_delta(m, d, "neumann")
+    one = np.ones(cn.n_dofs)
+    expect = -sum(d.alpha[itf.id] * itf.length for itf in p.interfaces)
+    assert abs(forms.form_value(cn, one) - expect) <= 1e-12 * max(1.0, abs(expect))
+    bf = forms.assemble_delta_prime(m, d, "neumann")
+    for k in ids:
+        exact = forms.indicator_form_value(bf, k)
+        total = -sum(itf.length / d.beta[itf.id] for itf in p.interfaces
+                     if k in (itf.k, itf.l))
+        assert abs(exact - total) <= 1e-12 * abs(total)
+        value = forms.form_value(bf, forms.indicator_vector(bf, k))
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+    c = geometry.chromatic_colouring(geometry.adjacency_graph(p))
+    ph = geometry.phase_assignment(p, c, d)
+    bd = forms.assemble_delta_prime(m, d, "dirichlet")
+    cd = forms.assemble_delta(
+        m, geometry.InteractionData(ph.alpha_z, d.beta), "dirichlet")
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        f = rng.standard_normal(cd.n_dofs)
+        u = forms.apply_unitary(ph, bd, forms.embed_continuous(bd, f))
+        a_b = float(np.real(np.vdot(u, bd.A @ u)))
+        a_c = forms.form_value(cd, f)
+        assert abs(a_b - a_c) <= 1e-11 * max(1.0, abs(a_c))
+
+
+def _random_interaction(draw, p):
+    weight = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
+    ids = [itf.id for itf in p.interfaces]
+    return geometry.InteractionData({i: draw(weight) for i in ids},
+                                    {i: draw(weight) for i in ids})
+
+
+@st.composite
+def _canonical_problems(draw):
+    name, params = draw(st.sampled_from(_MULTI_INTERFACE))
+    p = geometry.build_canonical_partition(name, dict(params, box_radius=4.0))
+    m = mesh.triangulate(p, draw(st.integers(1, 3)))
+    return p, m, _random_interaction(draw, p)
+
+
+@st.composite
+def _island_problems(draw):
+    """Convex island: 3-8 points on a rotated, shifted ellipse, with angular
+    gaps within a factor 3 of each other."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n)))
+    ang = draw(st.floats(0.0, 2 * np.pi)) + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    a, b = draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0))
+    rot = draw(st.floats(0.0, np.pi))
+    cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    x, y = a * np.cos(ang), b * np.sin(ang)
+    poly = np.stack([cx + np.cos(rot) * x - np.sin(rot) * y,
+                     cy + np.sin(rot) * x + np.cos(rot) * y], axis=1)
+    p = geometry.build_canonical_partition(
+        "island", {"box_radius": 4.0, "polygon": poly.tolist()})
+    m = mesh.triangulate(p, draw(st.integers(1, 3)))
+    return p, m, _random_interaction(draw, p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_canonical_problems())
+def test_assembler_identities_per_interface_weights(problem):
+    _check_assembled_forms(*problem)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_island_problems())
+def test_assembler_identities_random_convex_island(problem):
+    _check_assembled_forms(*problem)

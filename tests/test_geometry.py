@@ -94,6 +94,29 @@ def test_colouring_is_proper_and_order_independent(name):
     assert geometry.chromatic_colouring(perm).chi == c.chi
 
 
+def _cycle_edges(vs):
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+# clique number 2 below the chromatic number: the 5-cycle (chi 3) and the
+# Groetzsch graph (chi 4), the 5-cycle with its Mycielski shadow and apex
+@pytest.mark.parametrize("n,edges,chi", [
+    (5, _cycle_edges(range(5)), 3),
+    (11, _cycle_edges(range(5))
+     + [(5 + i, (i + 1) % 5) for i in range(5)]
+     + [(5 + i, (i - 1) % 5) for i in range(5)]
+     + [(5 + i, 10) for i in range(5)], 4),
+])
+def test_colouring_above_clique_number(n, edges, chi):
+    g = geometry.Graph(tuple(range(n)),
+                       tuple(sorted((min(e), max(e)) for e in edges)))
+    c = geometry.chromatic_colouring(g)
+    assert c.chi == chi
+    assert set(c.phi.values()) == set(range(chi))
+    for u, v in g.edges:
+        assert c.phi[u] != c.phi[v]
+
+
 def test_edge_constant_values_and_monotonicity():
     assert geometry.edge_constant(2) == pytest.approx(4.0)
     assert geometry.edge_constant(3) == pytest.approx(3.0)
