@@ -13,8 +13,9 @@ import argparse
 import inspect
 import json
 import sys
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -48,14 +49,11 @@ class Config:
     threshold: float = 0.0
     solver: SolverConfig = field(default_factory=SolverConfig)
     experiment: Dict = field(default_factory=dict)
-    output_format: Optional[str] = None
 
     # -- construction helpers -------------------------------------------
     def build(self):
-        params = dict(self.geometry_params)
-        params["box_radius"] = self.box_radius
-        p = geometry.build_canonical_partition(self.geometry_name, params)
-        return p, mesh.triangulate(p, self.levels)
+        return mesh.canonical_mesh(self.geometry_name, self.geometry_params,
+                                   self.box_radius, self.levels)
 
     def interaction(self, p: geometry.Partition) -> geometry.InteractionData:
         ids = [itf.id for itf in p.interfaces]
@@ -136,7 +134,7 @@ def _strength(obj, key, default, positive):
 
 _SOLVER_KEYS = {"k", "tol", "seed", "deterministic"}
 _TOP_KEYS = {"geometry", "box_radius", "levels", "bc", "alpha", "beta",
-             "threshold", "solver", "experiment", "format"}
+             "threshold", "solver", "experiment"}
 
 
 def _parse_solver(obj) -> SolverConfig:
@@ -210,14 +208,11 @@ def parse_config(text: str) -> Config:
     if not isinstance(experiment, dict):
         raise ConfigError(
             f"experiment: expected an object, got {_typename(experiment)}")
-    fmt = obj.get("format")
-    if fmt is not None and fmt not in ("json", "text", "csv"):
-        raise ConfigError(f"format: expected json, text or csv, got {fmt!r}")
 
     return Config(geometry_name=name, geometry_params=params,
                   box_radius=box_radius, levels=levels, bc=bc,
                   alpha=alpha, beta=beta, threshold=threshold, solver=solver,
-                  experiment=experiment, output_format=fmt)
+                  experiment=experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +382,10 @@ def _cmd_closed_form(name: str, params, fmt: str) -> int:
     return 0
 
 
-def _experiment_kwargs(cfg: Config, fn) -> Dict:
+def _experiment_args(cfg: Config, fn) -> inspect.BoundArguments:
+    """Every argument fn will run with: config values for the parameters fn
+    shares with the config, then the experiment overrides, then fn's
+    defaults."""
     sig = inspect.signature(fn)
     kw = {}
     supplied = {
@@ -400,7 +398,6 @@ def _experiment_kwargs(cfg: Config, fn) -> Dict:
         "k": lambda: cfg.solver.k,
         "tol": lambda: cfg.solver.tol,
         "seed": lambda: cfg.solver.seed,
-        "deterministic": lambda: cfg.solver.deterministic,
     }
     for name in sig.parameters:
         if name in supplied:
@@ -411,12 +408,19 @@ def _experiment_kwargs(cfg: Config, fn) -> Dict:
             raise ConfigError(
                 f"experiment.{key}: unknown parameter for this experiment")
         kw[key] = val
-    return kw
+    bound = sig.bind(**kw)
+    bound.apply_defaults()
+    return bound
 
 
 def _cmd_verify(cfg: Config, experiment: str, fmt: str) -> int:
+    """Run one experiment and report it with its provenance: the arguments
+    it ran with (`config`) and, outside deterministic mode, its wall time."""
     fn = experiments.EXPERIMENTS[experiment]
-    rep = fn(**_experiment_kwargs(cfg, fn))
+    args = _experiment_args(cfg, fn)
+    t0 = time.perf_counter()
+    rep = fn(*args.args, **args.kwargs)
+    wall_time = None if cfg.solver.deterministic else time.perf_counter() - t0
     if fmt == "csv":
         print("name,computed,reference,tolerance,margin,passed")
         for a in rep.assertions:
@@ -425,8 +429,12 @@ def _cmd_verify(cfg: Config, experiment: str, fmt: str) -> int:
                   f"{a.tolerance!r},{a.margin!r},{a.passed}")
     elif fmt == "text":
         sys.stdout.write(rep.to_text())
+        if wall_time is not None:
+            print(f"wall_time: {wall_time:.3f}s")
     else:
-        print(rep.to_json())
+        _emit_json(dict(rep.to_dict(),
+                        config=experiments.jsonable(args.arguments),
+                        wall_time=wall_time))
     return 0 if rep.passed else 2
 
 
@@ -504,18 +512,16 @@ def main(argv=None) -> int:
             raise _UsageError(par.format_usage())
         if args.command == "partition":
             cfg = _load_config(args.config)
-            return _cmd_partition(cfg, args.format or cfg.output_format or "text")
+            return _cmd_partition(cfg, args.format or "text")
         if args.command == "spectrum":
             cfg = _load_config(args.config)
-            return _cmd_spectrum(cfg, args.operator,
-                                 args.format or cfg.output_format or "json")
+            return _cmd_spectrum(cfg, args.operator, args.format or "json")
         if args.command == "closed-form":
             return _cmd_closed_form(args.name, args.params,
                                     args.format or "text")
         if args.command == "verify":
             cfg = _load_config(args.config)
-            return _cmd_verify(cfg, args.experiment,
-                               args.format or cfg.output_format or "json")
+            return _cmd_verify(cfg, args.experiment, args.format or "json")
         if args.command == "export":
             cfg = _load_config(args.config)
             return _cmd_export(cfg, args.what, args.operator, args.which)

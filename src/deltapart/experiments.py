@@ -4,8 +4,6 @@ assertions carry explicit tolerances and margins."""
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -17,6 +15,7 @@ from . import _kernels, closedform, eigen, forms, geometry, mesh
 __all__ = [
     "Assertion",
     "ExperimentReport",
+    "jsonable",
     "run_ordering",
     "run_unitary_identity",
     "run_star_bounds",
@@ -42,10 +41,8 @@ class Assertion:
 @dataclass
 class ExperimentReport:
     name: str
-    config: Dict
     quantities: Dict = field(default_factory=dict)
     assertions: List[Assertion] = field(default_factory=list)
-    wall_time: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -70,36 +67,18 @@ class ExperimentReport:
                                          margin, margin >= 0.0, note))
 
     def to_dict(self) -> Dict:
-        def conv(x):
-            if isinstance(x, (np.floating, np.integer, np.bool_)):
-                return x.item()
-            if isinstance(x, np.ndarray):
-                return [conv(v) for v in x]
-            if isinstance(x, complex):
-                return {"re": x.real, "im": x.imag}
-            if isinstance(x, dict):
-                return {str(k): conv(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [conv(v) for v in x]
-            return x
-
         return {
             "name": self.name,
-            "config": conv(self.config),
-            "quantities": conv(self.quantities),
+            "quantities": jsonable(self.quantities),
             "assertions": [
-                {"name": a.name, "computed": conv(a.computed),
-                 "reference": conv(a.reference), "tolerance": conv(a.tolerance),
-                 "margin": conv(a.margin), "passed": bool(a.passed),
+                {"name": a.name, "computed": a.computed,
+                 "reference": a.reference, "tolerance": a.tolerance,
+                 "margin": a.margin, "passed": bool(a.passed),
                  "note": a.note}
                 for a in self.assertions
             ],
             "passed": self.passed,
-            "wall_time": self.wall_time,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"experiment: {self.name}"]
@@ -115,20 +94,23 @@ class ExperimentReport:
                     f"margin={a.margin:+.3e}  {status}"
                     + (f"  ({a.note})" if a.note else ""))
         lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        if self.wall_time is not None:
-            lines.append(f"wall_time: {self.wall_time:.3f}s")
         return "\n".join(lines) + "\n"
 
-    def finish(self, t0: float, deterministic: bool) -> "ExperimentReport":
-        self.wall_time = None if deterministic else time.perf_counter() - t0
-        return self
 
-
-def _build(name: str, params: Optional[dict], box_radius: float, levels: int):
-    gp = dict(params or {})
-    gp["box_radius"] = box_radius
-    p = geometry.build_canonical_partition(name, gp)
-    return p, mesh.triangulate(p, levels)
+def jsonable(x):
+    """x with numpy scalars and arrays, tuples, complex numbers and
+    non-string dict keys turned into their JSON counterparts."""
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
+        return x.item()
+    if isinstance(x, np.ndarray):
+        return [jsonable(v) for v in x]
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x
 
 
 def _solve(df: forms.DiscreteForm, k: int, tol: float, seed: int):
@@ -148,16 +130,11 @@ def _solve(df: forms.DiscreteForm, k: int, tol: float, seed: int):
 def run_ordering(geometry_name: str = "star3", geometry_params: Optional[dict] = None,
                  alpha: float = 1.0, beta: float = 3.0, k: int = 10,
                  box_radius: float = 6.0, levels: int = 6, tol: float = 1e-8,
-                 seed: int = 0, deterministic: bool = False) -> ExperimentReport:
+                 seed: int = 0) -> ExperimentReport:
     """Broken-space eigenvalues never exceed the continuous ones, level by
     level, whenever beta <= edge_constant(chi)/alpha."""
-    t0 = time.perf_counter()
-    rep = ExperimentReport("ordering", {
-        "geometry": geometry_name, "geometry_params": geometry_params,
-        "alpha": alpha, "beta": beta, "k": k, "box_radius": box_radius,
-        "levels": levels, "tol": tol, "seed": seed, "deterministic": deterministic,
-    })
-    p, m = _build(geometry_name, geometry_params, box_radius, levels)
+    rep = ExperimentReport("ordering")
+    p, m = mesh.canonical_mesh(geometry_name, geometry_params, box_radius, levels)
     d = geometry.InteractionData.uniform(p, alpha, beta)
     col = geometry.chromatic_colouring(geometry.adjacency_graph(p))
     limit = geometry.edge_constant(col.chi) / alpha
@@ -178,7 +155,7 @@ def run_ordering(geometry_name: str = "star3", geometry_params: Optional[dict] =
                          rb.eigenvalues[j], lam, 1e-10 * max(1.0, abs(lam)))
     else:
         rep.quantities["note"] = "hypothesis violated - informational only"
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +165,11 @@ def run_ordering(geometry_name: str = "star3", geometry_params: Optional[dict] =
 def run_unitary_identity(geometry_name: str = "half_plane",
                          geometry_params: Optional[dict] = None, beta: float = 4.0,
                          trials: int = 100, box_radius: float = 4.0, levels: int = 3,
-                         seed: int = 0, deterministic: bool = False) -> ExperimentReport:
+                         seed: int = 0) -> ExperimentReport:
     """The phase multiplication maps the broken form with jump weight 1/beta
     onto the continuous form with the induced strength, exactly."""
-    t0 = time.perf_counter()
-    rep = ExperimentReport("unitary_identity", {
-        "geometry": geometry_name, "geometry_params": geometry_params,
-        "beta": beta, "trials": trials, "box_radius": box_radius,
-        "levels": levels, "seed": seed, "deterministic": deterministic,
-    })
-    p, m = _build(geometry_name, geometry_params, box_radius, levels)
+    rep = ExperimentReport("unitary_identity")
+    p, m = mesh.canonical_mesh(geometry_name, geometry_params, box_radius, levels)
     d = geometry.InteractionData.uniform(p, 0.0, beta)
     col = geometry.chromatic_colouring(geometry.adjacency_graph(p))
     ph = geometry.phase_assignment(p, col, d)
@@ -222,7 +194,7 @@ def run_unitary_identity(geometry_name: str = "half_plane",
                            "max_mass_norm_deviation": norm_dev})
     rep.check_le("form identity deviation", worst, 0.0, 1e-11)
     rep.check_le("unitarity of phase map", norm_dev, 0.0, 1e-11)
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +203,15 @@ def run_unitary_identity(geometry_name: str = "half_plane",
 
 def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
                     box_radii=(8.0, 12.0, 16.0), levels_list=(5, 5, 6),
-                    tol: float = 1e-8, seed: int = 0,
-                    deterministic: bool = False) -> ExperimentReport:
-    t0 = time.perf_counter()
-    rep = ExperimentReport("star_bounds", {
-        "alpha": alpha, "beta": beta, "box_radii": list(box_radii),
-        "levels_list": list(levels_list), "tol": tol, "seed": seed,
-        "deterministic": deterministic,
-    })
+                    tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
+    rep = ExperimentReport("star_bounds")
     bottom_delta = closedform.star_delta_bottom(alpha)
     mm = closedform.minimax_star()
     certified_dp = -mm.value / beta ** 2
     printed_dp = -closedform.PRINTED_MINIMAX_VALUE / beta ** 2
     lams_d, lams_b = [], []
     for R, L in zip(box_radii, levels_list):
-        p, m = _build("star3", None, float(R), int(L))
+        p, m = mesh.canonical_mesh("star3", None, float(R), int(L))
         d = geometry.InteractionData.uniform(p, alpha, beta)
         df = forms.assemble_delta(m, d, "dirichlet")
         bf = forms.assemble_delta_prime(m, d, "dirichlet")
@@ -270,7 +236,7 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
     for i in range(1, len(gaps)):
         rep.check_le(f"gap monotone: step {i}", gaps[i], gaps[i - 1], 1e-9)
     rep.check_le("final gap to -alpha^2/3", gaps[-1], 0.0, 0.06)
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +273,9 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
                               wedge_phi: float = 3.0 * np.pi / 4.0,
                               momentum: float = 0.0, n_list=(8, 16, 32),
                               wedge_box_radius: float = 140.0,
-                              wedge_levels: int = 9,
-                              tol: float = 1e-8, seed: int = 0,
-                              deterministic: bool = False) -> ExperimentReport:
-    t0 = time.perf_counter()
-    rep = ExperimentReport("threshold_convergence", {
-        "geometry": geometry_name, "operator": operator, "strength": strength,
-        "box_radii": list(box_radii), "levels": levels, "momentum": momentum,
-        "n_list": list(n_list), "tol": tol, "seed": seed,
-        "deterministic": deterministic,
-    })
+                              wedge_levels: int = 9, tol: float = 1e-8,
+                              seed: int = 0) -> ExperimentReport:
+    rep = ExperimentReport("threshold_convergence")
     if geometry_name == "half_plane":
         if operator == "delta":
             threshold = -strength ** 2 / 4.0
@@ -328,7 +287,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
             raise ValueError(f"unknown operator {operator!r}")
         lams = []
         for R in box_radii:
-            p, m = _build("half_plane", None, float(R), levels)
+            p, m = mesh.canonical_mesh("half_plane", None, float(R), levels)
             if operator == "delta":
                 d = geometry.InteractionData.uniform(p, strength, 1.0)
                 df = forms.assemble_delta(m, d, "dirichlet")
@@ -357,7 +316,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         need = 2.0 * max(n_list) + 4.0 + 2.0 * max(n_list)
         if need > R:
             raise ValueError("box too small for the test-function support")
-        p, m = _build("wedge", {"phi": wedge_phi}, R, wedge_levels)
+        p, m = mesh.canonical_mesh("wedge", {"phi": wedge_phi}, R, wedge_levels)
         d = geometry.InteractionData.uniform(p, 0.0, beta)
         layout = forms.broken_dof_layout(m)
         quotients = []
@@ -378,7 +337,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
                       quotients[-1], target, 0.1)
     else:
         raise ValueError(f"unsupported geometry {geometry_name!r}")
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +383,10 @@ def _deformation_quadrature(alpha: float, n: float, bump_xy) -> dict:
 
 def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
                                 box_radius: float = 16.0, levels: int = 6,
-                                bump=None, tol: float = 1e-8, seed: int = 0,
-                                deterministic: bool = False) -> ExperimentReport:
-    t0 = time.perf_counter()
-    if bump is None:
-        bump = [(-1.0, 1.0), (1.0, 1.0), (1.0, 3.0), (-1.0, 3.0)]
-    rep = ExperimentReport("deformation_bound_state", {
-        "alpha": alpha, "n_list": list(n_list), "box_radius": box_radius,
-        "levels": levels, "bump": [list(v) for v in bump], "tol": tol,
-        "seed": seed, "deterministic": deterministic,
-    })
+                                bump=((-1.0, 1.0), (1.0, 1.0), (1.0, 3.0),
+                                      (-1.0, 3.0)),
+                                tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
+    rep = ExperimentReport("deformation_bound_state")
     # mesh-free quadrature route
     quad = {n: _deformation_quadrature(alpha, float(n), bump) for n in n_list}
     rep.quantities["quadrature_I_n"] = {n: q["value"] for n, q in quad.items()}
@@ -451,8 +404,9 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
     rep.check_le("quadrature value below crude bound", quad[n_big]["value"],
                  crude, 1e-10)
 
-    p, m = _build("line_with_bump", {"bump": [list(v) for v in bump]},
-                  box_radius, levels)
+    p, m = mesh.canonical_mesh("line_with_bump",
+                               {"bump": [list(v) for v in bump]}, box_radius,
+                               levels)
     d = geometry.InteractionData.uniform(p, alpha, 4.0 / alpha)
     # discrete form on sampled family for the n that fit in the box (dual route)
     dfn = forms.assemble_delta(m, d, "neumann")
@@ -483,7 +437,7 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
     rep.check_le("bound state below line threshold", lam_d, line_threshold, 0.0)
     rep.check_le("companion ordering at beta = 4/alpha", lam_b, lam_d,
                  1e-10 * max(1.0, abs(lam_d)))
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +447,12 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
 def run_indicator_bound_state(beta: float = 1.0, box_radii=(6.0, 9.0),
                               levels: int = 5, sides: int = 16,
                               radius: float = 3.0, tol: float = 1e-8,
-                              seed: int = 0,
-                              deterministic: bool = False) -> ExperimentReport:
-    t0 = time.perf_counter()
-    rep = ExperimentReport("indicator_bound_state", {
-        "beta": beta, "box_radii": list(box_radii), "levels": levels,
-        "sides": sides, "radius": radius, "tol": tol, "seed": seed,
-        "deterministic": deterministic,
-    })
+                              seed: int = 0) -> ExperimentReport:
+    rep = ExperimentReport("indicator_bound_state")
     lams = []
     for R in box_radii:
-        p, m = _build("island", {"sides": sides, "radius": radius}, float(R), levels)
+        p, m = mesh.canonical_mesh("island", {"sides": sides, "radius": radius},
+                                   float(R), levels)
         d = geometry.InteractionData.uniform(p, 0.0, beta)
         bf = forms.assemble_delta_prime(m, d, "neumann")
         island_id = 1
@@ -527,7 +476,7 @@ def run_indicator_bound_state(beta: float = 1.0, box_radii=(6.0, 9.0),
         "lambda1": lams,
         "lambda1_spread": max(lams) - min(lams),
     })
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +485,13 @@ def run_indicator_bound_state(beta: float = 1.0, box_radii=(6.0, 9.0),
 
 def run_sharpness_chi2(alpha: float = 1.0, beta: float = 5.0,
                        box_radius: float = 12.0, levels: int = 6,
-                       tol: float = 1e-8, seed: int = 0,
-                       deterministic: bool = False) -> ExperimentReport:
-    t0 = time.perf_counter()
-    rep = ExperimentReport("sharpness_chi2", {
-        "alpha": alpha, "beta": beta, "box_radius": box_radius,
-        "levels": levels, "tol": tol, "seed": seed, "deterministic": deterministic,
-    })
+                       tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
+    rep = ExperimentReport("sharpness_chi2")
     bot_d, bot_b = closedform.halfplane_bottoms(alpha, beta)
     impossible = beta > 4.0 / alpha
     rep.quantities.update({"bottom_delta": bot_d, "bottom_delta_prime": bot_b,
                            "ordering_impossible": impossible})
-    p, m = _build("half_plane", None, box_radius, levels)
+    p, m = mesh.canonical_mesh("half_plane", None, box_radius, levels)
     dd = geometry.InteractionData.uniform(p, alpha, beta)
     lam_d = float(_solve(forms.assemble_delta(m, dd, "dirichlet"),
                          1, tol, seed).eigenvalues[0])
@@ -561,7 +505,7 @@ def run_sharpness_chi2(alpha: float = 1.0, beta: float = 5.0,
                      lam_d, lam_b, 0.0)
     else:
         rep.check_le("thresholds ordered", bot_b, bot_d, 0.0)
-    return rep.finish(t0, deterministic)
+    return rep
 
 
 EXPERIMENTS = {

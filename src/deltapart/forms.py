@@ -282,21 +282,18 @@ def rayleigh(df: DiscreteForm, f: np.ndarray) -> float:
     return float(np.real(np.vdot(f, df.A @ f))) / denom
 
 
-FAMILIES = ("deformation_fn", "wedge_psi_np", "transverse_exp")
+FAMILIES = ("deformation_fn", "wedge_psi_np")
 
 
 def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
-    """Nodal interpolation of an analytic family. Continuous families return
-    one value per node; wedge_psi_np returns a full broken complex vector for
-    the layout of params["form"]."""
+    """Nodal interpolation of an analytic family. deformation_fn returns one
+    value per node; wedge_psi_np returns a full broken complex vector for the
+    broken dof layout params["layout"] = (dof_node, dof_subdomain)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     x = m.nodes[:, 0]
     y = m.nodes[:, 1]
     R = m.box_radius
-    if family == "transverse_exp":
-        alpha = float(params["alpha"])
-        return np.exp(-0.5 * alpha * np.abs(y))
     if family == "deformation_fn":
         n = float(params["n"])
         alpha = float(params["alpha"])
@@ -305,15 +302,7 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
             raise ValueError("cutoff support exceeds the box")
         return bump((x - center) / n) * np.exp(-0.5 * alpha * np.abs(y))
     # wedge_psi_np: broken, complex, sign flip across the interface ray
-    if "form" in params:
-        bf = params["form"]
-        if bf.space != "broken":
-            raise ValueError("wedge_psi_np needs a broken dof layout")
-        dof_node, dof_subdomain = bf.dof_node, bf.dof_subdomain
-    elif "layout" in params:
-        dof_node, dof_subdomain = params["layout"]
-    else:
-        raise ValueError("wedge_psi_np needs params['form'] or params['layout']")
+    dof_node, dof_subdomain = params["layout"]
     n = float(params["n"])
     p = float(params.get("p", 0.0))
     beta = float(params["beta"])

@@ -64,18 +64,8 @@ class Partition:
     interfaces: Tuple[Interface, ...]
     symmetry_axis: float | None = None    # vertical line x = value, if guaranteed
 
-    @property
-    def n_subdomains(self) -> int:
-        return len(self.subdomains)
-
     def subdomain_ids(self) -> Tuple[int, ...]:
         return tuple(s.id for s in self.subdomains)
-
-    def interface_by_id(self, iid: int) -> Interface:
-        for itf in self.interfaces:
-            if itf.id == iid:
-                return itf
-        raise KeyError(f"no interface with id {iid}")
 
 
 @dataclass(frozen=True)

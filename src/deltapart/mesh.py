@@ -10,9 +10,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import geometry
 from .geometry import Partition, _VertexPool, _cross2, _loop_area
 
-__all__ = ["Mesh", "triangulate", "reflect_split", "export_mesh"]
+__all__ = ["Mesh", "triangulate", "canonical_mesh", "reflect_split",
+           "export_mesh"]
 
 
 @dataclass(frozen=True)
@@ -281,6 +283,15 @@ def triangulate(p: Partition, levels: int) -> Mesh:
              iface_normal, iface_len, outer, levels, R, p.symmetry_axis)
     _check_mesh(p, m)
     return m
+
+
+def canonical_mesh(name: str, params: dict | None, box_radius: float,
+                   levels: int) -> Tuple[Partition, Mesh]:
+    """Build the named canonical partition on a box of the given radius
+    (overriding any "box_radius" in params) and triangulate it."""
+    p = geometry.build_canonical_partition(name, dict(params or {},
+                                                      box_radius=box_radius))
+    return p, triangulate(p, levels)
 
 
 def _check_mesh(p: Partition, m: Mesh) -> None:

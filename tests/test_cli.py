@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -97,6 +98,14 @@ def test_config_file_errors(tmp_path, capsys):
     assert "box_radius" in capsys.readouterr().err
 
 
+def test_format_config_key_rejected(tmp_path, capsys):
+    f = tmp_path / "cfg.json"
+    f.write_text('{"geometry":{"name":"star3"},"box_radius":4,"levels":1,'
+                 '"format":"csv"}')
+    assert cli.main(["partition", "info", "--config", str(f)]) == 1
+    assert "format" in capsys.readouterr().err
+
+
 def test_solver_max_iter_rejected(tmp_path, capsys):
     f = tmp_path / "cfg.json"
     f.write_text('{"geometry":{"name":"star3"},"box_radius":4,"levels":1,'
@@ -150,7 +159,7 @@ def test_verify_exit_codes(cfg_file, capsys, monkeypatch):
     from deltapart import experiments
 
     def failing(**kw):
-        rep = experiments.ExperimentReport("ordering", {})
+        rep = experiments.ExperimentReport("ordering")
         rep.check_le("forced", 1.0, 0.0, 0.0)
         return rep
 
@@ -158,6 +167,40 @@ def test_verify_exit_codes(cfg_file, capsys, monkeypatch):
     assert cli.main(["verify", "ordering", "--config", cfg_file]) == 2
     d = json.loads(capsys.readouterr().out)
     assert d["passed"] is False
+
+
+def test_verify_wall_time_only_outside_deterministic_mode(tmp_path, capsys):
+    def run(fmt, deterministic):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({
+            "geometry": {"name": "half_plane"}, "box_radius": 4, "levels": 2,
+            "solver": {"deterministic": deterministic},
+            "experiment": {"trials": 5}}))
+        assert cli.main(["--format", fmt, "verify", "unitary",
+                         "--config", str(f)]) == 0
+        return capsys.readouterr().out
+
+    assert isinstance(json.loads(run("json", False))["wall_time"], float)
+    assert "\nwall_time: " in run("text", False)
+    assert json.loads(run("json", True))["wall_time"] is None
+    assert "wall_time" not in run("text", True)
+
+
+def test_verify_echoes_the_arguments_it_ran_with(tmp_path, capsys):
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({
+        "geometry": {"name": "wedge"}, "box_radius": 4, "levels": 2,
+        "solver": {"deterministic": True},
+        "experiment": {"operator": "delta-prime", "strength": 2.0,
+                       "n_list": [2, 4], "wedge_box_radius": 24.0,
+                       "wedge_levels": 5}}))
+    cli.main(["verify", "threshold", "--config", str(f)])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["wedge_box_radius"] == 24.0
+    assert config["wedge_levels"] == 5
+    assert config["wedge_phi"] == pytest.approx(3.0 * math.pi / 4.0)
+    assert config["n_list"] == [2, 4]
+    assert "deterministic" not in config
 
 
 def test_verify_unknown_experiment_param(tmp_path, capsys):
