@@ -382,31 +382,54 @@ def _cmd_closed_form(name: str, params, fmt: str) -> int:
     return 0
 
 
+# experiment parameter -> (the config field that supplies it, its value)
+_CONFIG_FIELDS = {
+    "geometry_name": ("geometry.name", lambda cfg: cfg.geometry_name),
+    "geometry_params": ("geometry.params", lambda cfg: cfg.geometry_params or None),
+    "alpha": ("alpha", lambda cfg: cfg.scalar("alpha")),
+    "beta": ("beta", lambda cfg: cfg.scalar("beta")),
+    "box_radius": ("box_radius", lambda cfg: cfg.box_radius),
+    "levels": ("levels", lambda cfg: cfg.levels),
+    "k": ("solver.k", lambda cfg: cfg.solver.k),
+    "tol": ("solver.tol", lambda cfg: cfg.solver.tol),
+    "seed": ("solver.seed", lambda cfg: cfg.solver.seed),
+}
+
+
+def _like(value, default) -> bool:
+    """Whether an override has the JSON type of the parameter's default:
+    an integer for int, a number for float, a non-empty array of such
+    items for a tuple, an object or null for None."""
+    if default is None:
+        return value is None or isinstance(value, dict)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) > 0
+                and all(_like(v, default[0]) for v in value))
+    return isinstance(value, type(default))
+
+
 def _experiment_args(cfg: Config, fn) -> inspect.BoundArguments:
     """Every argument fn will run with: config values for the parameters fn
     shares with the config, then the experiment overrides, then fn's
     defaults."""
     sig = inspect.signature(fn)
-    kw = {}
-    supplied = {
-        "geometry_name": lambda: cfg.geometry_name,
-        "geometry_params": lambda: cfg.geometry_params or None,
-        "alpha": lambda: cfg.scalar("alpha"),
-        "beta": lambda: cfg.scalar("beta"),
-        "box_radius": lambda: cfg.box_radius,
-        "levels": lambda: cfg.levels,
-        "k": lambda: cfg.solver.k,
-        "tol": lambda: cfg.solver.tol,
-        "seed": lambda: cfg.solver.seed,
-    }
-    for name in sig.parameters:
-        if name in supplied:
-            kw[name] = supplied[name]()
-    # free-form per-experiment overrides, validated against the signature
+    params = sig.parameters
+    kw = {name: get(cfg) for name, (_, get) in _CONFIG_FIELDS.items()
+          if name in params}
+    # free-form per-experiment overrides, checked against the signature
     for key, val in cfg.experiment.items():
-        if key not in sig.parameters:
+        if key not in params:
             raise ConfigError(
                 f"experiment.{key}: unknown parameter for this experiment")
+        default = params[key].default
+        if not _like(val, default):
+            raise ConfigError(
+                f"experiment.{key}: {val!r} does not match the type of the "
+                f"default {experiments.jsonable(default)!r}")
         kw[key] = val
     bound = sig.bind(**kw)
     bound.apply_defaults()

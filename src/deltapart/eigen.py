@@ -57,7 +57,9 @@ def _residuals(A, M, vals, V):
 def gershgorin_lower_bound(excess: np.ndarray, M) -> float:
     """Certified lower bound lb <= lambda_min(A, M) for a P1 mass matrix M,
     given a per-row excess e with A + diag(e) psd (by Gershgorin, whenever
-    A + diag(e) is diagonally dominant with nonnegative diagonal).
+    A + diag(e) is diagonally dominant with nonnegative diagonal).  It
+    places the first shift of `lowest_eigenpairs` for a pencil passed
+    without `lower_bound`; assembled forms carry a tighter bound.
 
     With the lumped mass L = diag(M 1) and c = max(0, max_i e_i / L_ii),
     A >= -diag(e) >= -c L, and L <= 4M in the psd order for P1 mass
@@ -75,10 +77,10 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     """k smallest eigenpairs of A v = lam M v (A symmetric, M SPD).
 
     Deterministic for a fixed seed: the Lanczos start vector and the
-    shift-estimation block are drawn from a seeded generator.  A caller who
-    already knows a bound lb <= lambda_min (e.g. from the assembled form's
-    coupling term) can pass it to skip the generic Gershgorin estimate,
-    which is far too pessimistic on meshes with obtuse triangles.
+    shift-estimation block are drawn from a seeded generator.  The first
+    shift lies 1 below lower_bound, a certified lb <= lambda_min (an
+    assembled form's `coercivity_bound`); without one it lies below the
+    Gershgorin bound of A, which is far looser.
     """
     n = A.shape[0]
     if A.shape != (n, n) or M.shape != (n, n):

@@ -11,7 +11,7 @@ from typing import Dict
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels, eigen
+from . import _kernels
 from .geometry import InteractionData, PhaseAssignment
 from .mesh import Mesh
 
@@ -62,7 +62,12 @@ class DiscreteForm:
     dof_node: np.ndarray             # node index per (reduced) dof
     dof_subdomain: np.ndarray        # subdomain id per dof (0 for continuous)
     full_to_red: np.ndarray          # full dof index -> reduced index or -1
-    coercivity_bound: float = 0.0    # certified lower bound on lambda_min(A, M)
+    # certified lower bound on lambda_min(A, M) (Fried 1972): A and M are
+    # the sums of the element patches (A_P, M_P) of _patch_bound and of the
+    # triangles in no patch, whose stiffness is psd, so every term of
+    # A - lb M is psd for lb = min(0, min_P lambda_min(A_P, M_P)); the
+    # Dirichlet reduction only restricts the pencil
+    coercivity_bound: float = 0.0
 
     @property
     def n_dofs(self) -> int:
@@ -135,6 +140,58 @@ def jump_coupling(m: Mesh, beta: Dict[int, float], sub_node_dof):
                           m.iface_edge_length, _JUMP_MASS)
 
 
+def _patch_bound(n, tri_dofs, stiff, mass, edge_dofs, edge_local) -> float:
+    """min(0, min_P lambda_min(A_P, M_P)) over the element patches of the
+    interface-edge couplings (see DiscreteForm.coercivity_bound).  The
+    patch of edge e holds its coupling C_e and, for each dof pair (a, b)
+    of the edge, the triangles with side {a, b}; a triangle in c patches
+    lends 1/c of its stiffness and mass to each."""
+    n_e, r = edge_dofs.shape
+    if n_e == 0:
+        return 0.0
+    # triangles with two edge dofs, their sides keyed by sorted dof pair
+    on_edge = np.zeros(n, dtype=bool)
+    on_edge[edge_dofs] = True
+    cand = np.flatnonzero(on_edge[tri_dofs].sum(axis=1) >= 2)
+    sides = np.sort(tri_dofs[cand][:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    side_key = sides[:, 0] * n + sides[:, 1]
+    order = np.argsort(side_key, kind="stable")
+    side_key = side_key[order]
+    pairs = np.sort(edge_dofs.reshape(n_e, r // 2, 2), axis=2)
+    pair_key = pairs[..., 0] * n + pairs[..., 1]
+    lo = np.searchsorted(side_key, pair_key, "left")
+    count = np.searchsorted(side_key, pair_key, "right") - lo
+    if np.any(count == 0):
+        raise ValueError("interface edge lies on no triangle")
+    # fixed slots per pair; a pair on fewer triangles repeats its first,
+    # which only moves more of that triangle's share into the patch
+    slot = np.minimum(np.arange(count.max()), count[..., None] - 1)
+    tri = cand[order[lo[..., None] + slot] // 3].reshape(n_e, -1)
+    share = 1.0 / np.bincount(tri.ravel(), minlength=tri_dofs.shape[0])[tri]
+    # patch matrices on the stacked dofs of the patch triangles, each dof
+    # at its first slot; the other slots get mass 1 and add only the
+    # eigenvalue 0, which the bound caps anyway
+    s = 3 * tri.shape[1]
+    dofs = tri_dofs[tri].reshape(n_e, s)
+    first = np.argmax(dofs[:, :, None] == dofs[:, None, :], axis=2)
+
+    def lift(local, at):
+        P = (at[:, :, None] == np.arange(s)).astype(float)
+        return P.transpose(0, 2, 1) @ local @ P
+
+    K = lift(edge_local, np.argmax(dofs[:, None, :] == edge_dofs[:, :, None], axis=2))
+    W = np.zeros((n_e, s, s))
+    for j in range(tri.shape[1]):
+        at = first[:, 3 * j:3 * j + 3]
+        w = share[:, j, None, None]
+        K += lift(w * stiff[tri[:, j]].reshape(-1, 3, 3), at)
+        W += lift(w * mass[tri[:, j]].reshape(-1, 3, 3), at)
+    W[:, np.arange(s), np.arange(s)] += first != np.arange(s)
+    Linv = np.linalg.inv(np.linalg.cholesky(W))
+    lam = np.linalg.eigvalsh(Linv @ K @ Linv.transpose(0, 2, 1))[:, 0]
+    return min(0.0, float(lam.min()))
+
+
 def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node):
     """P1 stiffness of the triangles tris (on dofs tri_dofs) plus the edge
     coupling, P1 mass, the coupling bound, and the Dirichlet reduction of
@@ -147,11 +204,7 @@ def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node)
     jv = edge_local.reshape(-1)
     A = _accumulate_csr([er, jr], [ec, jc], [stiff, jv], n)
     M = _accumulate_csr([er], [ec], [mass], n)
-    # the coupling's absolute row sums are a Gershgorin excess over the
-    # psd stiffness
-    excess = np.zeros(n)
-    np.add.at(excess, jr, np.abs(jv))
-    bound = eigen.gershgorin_lower_bound(excess, M)
+    bound = _patch_bound(n, tri_dofs, stiff, mass, edge_dofs, edge_local)
     outer = np.zeros(m.n_nodes, dtype=bool)
     if bc == "dirichlet":
         outer[m.outer_boundary_nodes] = True

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from deltapart import cli
+from deltapart import cli, experiments
 
 
 VALID = ('{"geometry":{"name":"star3"},"box_radius":6,"levels":4,'
@@ -209,6 +211,38 @@ def test_verify_unknown_experiment_param(tmp_path, capsys):
                  '"experiment":{"warp_factor":9}}')
     assert cli.main(["verify", "ordering", "--config", str(f)]) == 1
     assert "experiment.warp_factor" in capsys.readouterr().err
+
+
+def test_verify_override_levels_not_an_integer(tmp_path, capsys):
+    f = tmp_path / "cfg.json"
+    f.write_text('{"geometry":{"name":"star3"},"box_radius":4,"levels":2,'
+                 '"experiment":{"levels":"x"}}')
+    assert cli.main(["verify", "ordering", "--config", str(f)]) == 1
+    assert "experiment.levels" in capsys.readouterr().err
+
+
+def test_verify_override_box_radii_not_an_array(tmp_path, capsys):
+    f = tmp_path / "cfg.json"
+    f.write_text('{"geometry":{"name":"star3"},"box_radius":4,"levels":2,'
+                 '"experiment":{"box_radii":5}}')
+    assert cli.main(["verify", "star-bounds", "--config", str(f)]) == 1
+    assert "experiment.box_radii" in capsys.readouterr().err
+
+
+def test_readme_lists_the_config_fields_each_experiment_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        name = cells[0].strip("`")
+        if name in experiments.EXPERIMENTS and len(cells) == 3:
+            listed[name] = [f.strip().strip("`") for f in cells[1].split(",")]
+    expect = {}
+    for name, fn in experiments.EXPERIMENTS.items():
+        params = inspect.signature(fn).parameters
+        expect[name] = [field for p, (field, _) in cli._CONFIG_FIELDS.items()
+                        if p in params]
+    assert listed == expect
 
 
 def test_export_mesh_and_matrix(cfg_file, capsys):

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltapart import eigen, experiments, forms, geometry, mesh
+from deltapart import _kernels, eigen, experiments, forms, geometry, mesh
 
 
 def _setup(name, levels, alpha=1.0, beta=2.0, box_radius=4.0, **params):
@@ -236,6 +236,121 @@ def test_subdomain_robin_zero_gamma_is_stiffness():
     robin = forms.assemble_subdomain_robin(m, 1, 0.5, "neumann")
     assert robin.coercivity_bound < 0.0
     assert (robin.A - df.A).nnz > 0
+
+
+# -- the element-patch coercivity bound -------------------------------------
+
+# the right triangle (0,0), (1,0), (0,1): P1 stiffness and mass, and the
+# edge mass of a unit-length side
+_K_REF = np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]) / 2.0
+_M_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
+_E_REF = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+
+
+def _one_triangle_mesh(sides):
+    """The reference triangle as subdomain 1, its sides `sides` (node
+    pairs, both of unit length) interface edges towards subdomain 2."""
+    q = len(sides)
+    return mesh.Mesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        triangles=np.array([[0, 1, 2]]), tri_subdomain=np.array([1]),
+        iface_edge_nodes=np.array(sides), iface_edge_id=np.ones(q, dtype=np.int64),
+        iface_edge_kl=np.tile([1, 2], (q, 1)), iface_edge_normal=np.zeros((q, 2)),
+        iface_edge_length=np.ones(q), outer_boundary_nodes=np.array([1, 2]),
+        refinement_level=0, box_radius=1.0)
+
+
+@pytest.mark.parametrize("sides", [[(0, 1)], [(0, 1), (0, 2)]])
+def test_patch_bound_one_triangle_by_hand(sides):
+    """A Robin form on one triangle: each side's patch gets the triangle's
+    stiffness and mass divided by the number of coupled sides, so one side
+    gives the exact local lambda_min."""
+    gamma = 3.0
+    df = forms.assemble_subdomain_robin(_one_triangle_mesh(sides), 1, gamma,
+                                        "neumann")
+    share = 1.0 / len(sides)
+    expect = 0.0
+    for a, b in sides:
+        C = np.zeros((3, 3))
+        C[np.ix_([a, b], [a, b])] = -gamma * _E_REF
+        lam = sla.eigh(share * _K_REF + C, share * _M_REF, eigvals_only=True)[0]
+        expect = min(expect, lam)
+    assert expect < 0.0
+    assert df.coercivity_bound == pytest.approx(expect, rel=1e-12)
+    lam1 = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True)[0]
+    assert df.coercivity_bound <= lam1 + 1e-12
+    if len(sides) == 1:
+        assert df.coercivity_bound == pytest.approx(lam1, rel=1e-12)
+
+
+def _patch_bound_by_edge_loop(m, tri_dofs, edge_dofs, edge_local):
+    """The element-patch bound edge by edge: the patch of an edge holds the
+    triangles with both dofs of one of its dof pairs."""
+    stiff, mass, _ = _kernels.p1_elements(m.nodes, m.triangles)
+    patches = [[t for pair in dofs.reshape(-1, 2)
+                for t in np.flatnonzero(np.isin(tri_dofs, pair).sum(axis=1) == 2)]
+               for dofs in edge_dofs]
+    uses = np.bincount(np.concatenate(patches), minlength=m.n_triangles)
+    bound = 0.0
+    for dofs, local, tris in zip(edge_dofs, edge_local, patches):
+        at = {d: i for i, d in enumerate(np.unique(tri_dofs[tris]))}
+        A = np.zeros((len(at), len(at)))
+        M = np.zeros((len(at), len(at)))
+        for t in tris:
+            ix = np.ix_([at[d] for d in tri_dofs[t]], [at[d] for d in tri_dofs[t]])
+            A[ix] += stiff[t].reshape(3, 3) / uses[t]
+            M[ix] += mass[t].reshape(3, 3) / uses[t]
+        ix = [at[d] for d in dofs]
+        A[np.ix_(ix, ix)] += local
+        bound = min(bound, sla.eigh(A, M, eigvals_only=True)[0])
+    return bound
+
+
+@pytest.mark.parametrize("name", ["star3", "island", "grid"])
+def test_patch_bound_against_edge_loop(name):
+    p, m, _ = _setup(name, 1)
+    alpha = {itf.id: 0.5 + itf.id for itf in p.interfaces}
+    beta = {itf.id: 1.5 / (0.5 + itf.id) for itf in p.interfaces}
+    d = geometry.InteractionData(alpha, beta)
+    ids = m.iface_edge_id
+    scale = m.iface_edge_length / 6.0
+    E = np.array([[2.0, 1.0], [1.0, 2.0]])
+    jump = np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), E)
+    cf = forms.assemble_delta(m, d, "dirichlet")
+    local = [-alpha[int(i)] * s * E for i, s in zip(ids, scale)]
+    expect = _patch_bound_by_edge_loop(m, m.triangles, m.iface_edge_nodes, local)
+    assert cf.coercivity_bound == pytest.approx(expect, rel=1e-10)
+    bf = forms.assemble_delta_prime(m, d, "dirichlet")
+    _, _, lut = forms.broken_dof_layout(m)
+    tri_dofs = np.array([lut[s][t] for s, t in zip(m.tri_subdomain, m.triangles)])
+    edge_dofs = np.array([[lut[k][a], lut[k][b], lut[l][a], lut[l][b]]
+                          for (a, b), (k, l) in zip(m.iface_edge_nodes, m.iface_edge_kl)])
+    local = [-s / beta[int(i)] * jump for i, s in zip(ids, scale)]
+    expect = _patch_bound_by_edge_loop(m, tri_dofs, edge_dofs, local)
+    assert bf.coercivity_bound == pytest.approx(expect, rel=1e-10)
+
+
+def _gershgorin_bound(df, stiffness):
+    """The earlier coupling bound: Gershgorin excess of the coupling
+    A - stiffness over the lumped mass."""
+    excess = np.asarray(abs(df.A - stiffness.A).sum(axis=1)).ravel()
+    return eigen.gershgorin_lower_bound(excess, df.M)
+
+
+@pytest.mark.parametrize("name,levels", [("half_plane", 3), ("star3", 3),
+                                         ("island", 2)])
+def test_patch_bound_between_gershgorin_and_lambda1(name, levels):
+    p, m, d = _setup(name, levels, alpha=1.0, beta=0.5)
+    ids = [itf.id for itf in p.interfaces]
+    for maker, off in ((forms.assemble_delta, geometry.InteractionData(
+                            {i: 0.0 for i in ids}, d.beta)),
+                       (forms.assemble_delta_prime, geometry.InteractionData(
+                            d.alpha, {i: np.inf for i in ids}))):
+        df = maker(m, d, "neumann")
+        lam1 = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
+                        subset_by_index=[0, 0])[0]
+        assert _gershgorin_bound(df, maker(m, off, "neumann")) \
+            <= df.coercivity_bound <= lam1 + 1e-12 * abs(lam1)
 
 
 # -- property tests of the interface-edge assembler -------------------------
