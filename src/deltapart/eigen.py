@@ -1,8 +1,10 @@
 """Generalized symmetric eigensolvers.
 
 `lowest_eigenpairs` is the production path (dense LAPACK for small problems,
-seeded shift-invert Lanczos above that); `dense_eigen_oracle` is a slow,
-self-contained cross-check that shares no factorization code with it.
+seeded shift-invert Lanczos above that); `dense_eigen_oracle` is a
+self-contained cross-check that shares no factorization code with it: its
+Cholesky, triangular solves and Householder reduction are blocked numpy
+kernels built on matmul alone, followed by Sturm bisection.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -371,19 +373,23 @@ def _check_assembled_forms(p, m, d):
                 lam1 = sla.eigh(df.A.toarray(), df.M.toarray(),
                                 eigvals_only=True, subset_by_index=[0, 0])[0]
                 assert df.coercivity_bound <= lam1 + 1e-12 * max(1.0, abs(lam1))
-    # constants lie in the stiffness kernel: 1'A1 = -sum_I alpha_I |I|
+    # constants lie in the stiffness kernel: 1'A1 = -sum_I alpha_I |I|; the
+    # exact identities are summed with fsum, so only the entries' own
+    # rounding is left
     cn = forms.assemble_delta(m, d, "neumann")
-    one = np.ones(cn.n_dofs)
-    expect = -sum(d.alpha[itf.id] * itf.length for itf in p.interfaces)
-    assert abs(forms.form_value(cn, one) - expect) <= 1e-12 * max(1.0, abs(expect))
+    expect = -math.fsum(d.alpha[itf.id] * itf.length for itf in p.interfaces)
+    assert abs(math.fsum(cn.A.data) - expect) <= 1e-12 * max(1.0, abs(expect))
     bf = forms.assemble_delta_prime(m, d, "neumann")
+    entries = bf.A.tocoo()
     for k in ids:
         exact = forms.indicator_form_value(bf, k)
-        total = -sum(itf.length / d.beta[itf.id] for itf in p.interfaces
-                     if k in (itf.k, itf.l))
+        total = -math.fsum(itf.length / d.beta[itf.id] for itf in p.interfaces
+                           if k in (itf.k, itf.l))
         assert abs(exact - total) <= 1e-12 * abs(total)
-        value = forms.form_value(bf, forms.indicator_vector(bf, k))
-        assert abs(value - exact) <= 1e-12 * abs(exact)
+        # 1_k' A 1_k: the entries whose row and column dofs both lie in k
+        in_k = bf.dof_subdomain == k
+        value = math.fsum(entries.data[in_k[entries.row] & in_k[entries.col]])
+        assert abs(value - total) <= 1e-12 * abs(total)
     c = geometry.chromatic_colouring(geometry.adjacency_graph(p))
     ph = geometry.phase_assignment(p, c, d)
     bd = forms.assemble_delta_prime(m, d, "dirichlet")
@@ -442,3 +448,34 @@ def test_assembler_identities_per_interface_weights(problem):
 @given(_island_problems())
 def test_assembler_identities_random_convex_island(problem):
     _check_assembled_forms(*problem)
+
+
+# -- property test of the operator inequality ---------------------------------
+
+@st.composite
+def _admissible_problems(draw):
+    """Uniform alpha in [0.1, 3] and beta = t * edge_constant(chi) / alpha
+    with t in [0.01, 1]; a smaller t only makes the jump weight 1/beta
+    larger."""
+    name, params = draw(st.sampled_from(_MULTI_INTERFACE))
+    p = geometry.build_canonical_partition(name, dict(params, box_radius=4.0))
+    m = mesh.triangulate(p, draw(st.integers(1, 2)))
+    alpha = draw(st.floats(0.1, 3.0))
+    t = draw(st.floats(0.01, 1.0))
+    chi = geometry.chromatic_colouring(geometry.adjacency_graph(p)).chi
+    beta = t * geometry.edge_constant(chi) / alpha
+    return m, geometry.InteractionData.uniform(p, alpha, beta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_admissible_problems())
+def test_delta_prime_eigenvalues_below_delta(problem):
+    """lambda_j(delta') <= lambda_j(delta), j <= 5, Dirichlet, whenever
+    beta <= edge_constant(chi)/alpha: the paper's operator inequality."""
+    m, d = problem
+    lam = [sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
+                    subset_by_index=[0, 4])
+           for df in (forms.assemble_delta(m, d, "dirichlet"),
+                      forms.assemble_delta_prime(m, d, "dirichlet"))]
+    for lc, lb in zip(*lam):
+        assert lb <= lc + 1e-10 * max(1.0, abs(lc))

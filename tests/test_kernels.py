@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import deltapart._kernels as kernels
 
@@ -35,3 +36,144 @@ def test_linear_algebra_kernels_against_lapack():
 def test_cholesky_signals_non_spd():
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
         kernels.cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+# -- blocked dense-oracle kernels ---------------------------------------------
+
+NB = kernels.NB
+_SIZES = [1, 2, 3, NB - 1, NB, NB + 1, 2 * NB + 1, 100]
+
+
+def _random_symmetric(n, seed):
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    return np.ascontiguousarray(0.5 * (B + B.T))
+
+
+def _assert_same_spectrum(ev, ref):
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(ev - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_tridiagonalize_against_eigvalsh(n):
+    C = _random_symmetric(n, n)
+    before = C.copy()
+    d, e = kernels.tridiagonalize(C)
+    assert d.shape == (n,) and e.shape == (max(n - 1, 0),)
+    assert np.array_equal(C, before)                 # input left alone
+    _assert_same_spectrum(np.sort(kernels.tridiag_eigenvalues(d, e)),
+                          np.linalg.eigvalsh(C))
+
+
+def test_tridiagonalize_zero_subcolumn_inside_a_panel():
+    """A direct sum of blocks: the column that closes a block has a zero
+    sub-column, once in the first panel and twice in the second."""
+    sizes = [5, 40, 9, 20]
+    C = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for i, s in enumerate(sizes):
+        C[at:at + s, at:at + s] = _random_symmetric(s, 10 + i)
+        at += s
+    d, e = kernels.tridiagonalize(C)
+    for end in np.cumsum(sizes)[:-1]:
+        assert e[end - 1] == 0.0
+    _assert_same_spectrum(np.sort(kernels.tridiag_eigenvalues(d, e)),
+                          np.linalg.eigvalsh(C))
+
+
+def test_tridiagonal_with_repeated_eigenvalues():
+    """Two copies of the (-1, 2, -1) matrix joined by a zero coupling: every
+    eigenvalue is double."""
+    m = NB + 3
+    d = np.full(2 * m, 2.0)
+    e = np.full(2 * m - 1, -1.0)
+    e[m - 1] = 0.0
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    ref = np.linalg.eigvalsh(T)
+    assert np.allclose(ref[0::2], ref[1::2], rtol=0, atol=1e-13)
+    _assert_same_spectrum(np.sort(kernels.tridiag_eigenvalues(d, e)), ref)
+    _assert_same_spectrum(
+        np.sort(kernels.tridiag_eigenvalues(*kernels.tridiagonalize(T))), ref)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_cholesky_and_solve_against_lapack(n):
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    S = np.ascontiguousarray(B @ B.T + n * np.eye(n))
+    L = kernels.cholesky_lower(S)
+    ref = np.linalg.cholesky(S)
+    assert np.max(np.abs(L - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(L, np.tril(L))
+    rhs = rng.standard_normal((n, n + 3))
+    X = kernels.solve_lower(ref, rhs)
+    Xr = sla.solve_triangular(ref, rhs, lower=True)
+    assert np.max(np.abs(X - Xr)) <= 1e-12 * max(1.0, np.max(np.abs(Xr)))
+    x = kernels.solve_lower(ref, rhs[:, 0])
+    assert x.shape == (n,)
+    assert np.max(np.abs(x - Xr[:, 0])) <= 1e-12 * max(1.0, np.max(np.abs(Xr)))
+
+
+def test_cholesky_non_spd_pivot_in_second_block():
+    """Every diagonal entry is positive, but the Schur complement turns
+    negative at a row of the second block."""
+    n, j = 2 * NB + 5, NB + 3
+    B = np.random.default_rng(7).standard_normal((n, n))
+    S = B @ B.T + n * np.eye(n)
+    s = S[:j, j]
+    S[j, j] = float(s @ np.linalg.solve(S[:j, :j], s)) - 1.0
+    assert S[j, j] > 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(S)
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        kernels.cholesky_lower(S)
+
+
+def _sturm_count_reference(d, e2, x):
+    tiny = np.finfo(float).tiny
+    q = d[0] - x
+    cnt = int(q < 0.0)
+    for i in range(1, d.size):
+        denom = q if abs(q) >= tiny else (-tiny if q < 0.0 else tiny)
+        q = d[i] - x - e2[i - 1] / denom
+        cnt += q < 0.0
+    return cnt
+
+
+def test_sturm_count_against_scalar_loop():
+    rng = np.random.default_rng(3)
+    n = 60
+    d = rng.integers(-3, 4, n).astype(float)         # repeated entries
+    e = rng.standard_normal(n - 1)
+    e[::4] = 0.0                                     # q == 0 at x == d[i]
+    e2 = e * e
+    xs = np.concatenate([rng.uniform(-6.0, 6.0, 40), d, -d])
+    cnt = kernels._sturm_count(d, e2, xs)
+    ref = [_sturm_count_reference(d, e2, float(x)) for x in xs]
+    assert np.array_equal(cnt, ref)
+    assert kernels._sturm_count(d, e2, d[0]).tolist() == [ref[40]]
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_bisection_stops_at_ulp_scale_on_shifted_spectra(shift, monkeypatch):
+    """Far from 0 the ulp of the eigenvalues exceeds 1e-15 of their spread;
+    bisection must stop there rather than run its 100 sweeps."""
+    rng = np.random.default_rng(5)
+    n = 50
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    calls = []
+    count = kernels._sturm_count
+
+    def counted(*args):
+        calls.append(1)
+        return count(*args)
+
+    monkeypatch.setattr(kernels, "_sturm_count", counted)
+    kernels.tridiag_eigenvalues(d, e)
+    unshifted = len(calls)
+    calls.clear()
+    ev = np.sort(kernels.tridiag_eigenvalues(d + shift, e))
+    assert len(calls) <= unshifted
+    ref = np.linalg.eigvalsh(np.diag(d + shift) + np.diag(e, 1) + np.diag(e, -1))
+    assert np.max(np.abs(ev - ref)) <= 64 * np.spacing(shift)
