@@ -286,8 +286,7 @@ def _assemble(cfg: Config, operator: str) -> forms.DiscreteForm:
 def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
     df = _assemble(cfg, operator)
     s = cfg.solver
-    r = eigen.lowest_eigenpairs(df.A, df.M, s.k, tol=s.tol, seed=s.seed,
-                               lower_bound=df.coercivity_bound)
+    r = eigen.lowest_form_eigenpairs(df, s.k, tol=s.tol, seed=s.seed)
     below = r.count_below(cfg.threshold, 10.0 * s.tol)
     if fmt == "csv":
         print("index,value,residual")

@@ -229,7 +229,8 @@ def _interval_matrices(beta: float, l: float, n_elems: int):
 
 def interval_fem_oracle(beta: float, l: float, n_elems: int = 10000) -> float:
     """Independent check of interval_delta_prime: smallest eigenvalue of the
-    broken 1D P1 discretization."""
+    broken 1D P1 discretization.  Deterministic: the Lanczos start vector
+    comes from a fixed seed."""
     if beta <= 0.0 or l <= 0.0:
         raise ValueError("beta and l must be positive")
     if n_elems < 4:
@@ -237,7 +238,8 @@ def interval_fem_oracle(beta: float, l: float, n_elems: int = 10000) -> float:
     A, M = _interval_matrices(beta, l, n_elems)
     Ac, Mc = _interval_matrices(beta, l, 200)
     coarse = sla.eigh(Ac.toarray(), Mc.toarray(), eigvals_only=True)[0]
-    vals = spla.eigsh(A, k=1, M=M, sigma=coarse - 1.0, which="LM",
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    vals = spla.eigsh(A, k=1, M=M, sigma=coarse - 1.0, which="LM", v0=v0,
                       return_eigenvectors=False)
     return float(vals[0])
 

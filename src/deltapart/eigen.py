@@ -1,14 +1,18 @@
 """Generalized symmetric eigensolvers.
 
 `lowest_eigenpairs` is the production path (dense LAPACK for small problems,
-seeded shift-invert Lanczos above that); `dense_eigen_oracle` is a
-self-contained cross-check that shares no factorization code with it: its
-Cholesky, triangular solves and Householder reduction are blocked numpy
-kernels built on matmul alone, followed by Sturm bisection.
+seeded two-stage shift-invert Lanczos above that); `lowest_form_eigenpairs`
+runs it on an assembled form, started from the prolonged eigenvectors of
+the same form two mesh levels coarser (nested iteration).
+`dense_eigen_oracle` is a self-contained cross-check that shares no
+factorization code with it: its Cholesky, triangular solves and
+Householder reduction are blocked numpy kernels built on matmul alone,
+followed by Sturm bisection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +20,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _kernels
+from . import _kernels, forms
 
-__all__ = ["SpectrumResult", "lowest_eigenpairs", "dense_eigen_oracle"]
+__all__ = ["SpectrumResult", "lowest_eigenpairs", "lowest_form_eigenpairs",
+           "dense_eigen_oracle"]
 
 _DENSE_CUTOFF = 400
 
@@ -74,22 +79,37 @@ def gershgorin_lower_bound(excess: np.ndarray, M) -> float:
     return -4.0 * c if c > 0.0 else 0.0
 
 
+def _dense(n: int, k: int) -> bool:
+    return n <= max(_DENSE_CUTOFF, 3 * (k + 5))
+
+
 def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
-                      lower_bound: float | None = None) -> SpectrumResult:
+                      lower_bound: float | None = None,
+                      start: np.ndarray | None = None) -> SpectrumResult:
     """k smallest eigenpairs of A v = lam M v (A symmetric, M SPD).
 
-    Deterministic for a fixed seed: the Lanczos start vector and the
-    shift-estimation block are drawn from a seeded generator.  The first
-    shift lies 1 below lower_bound, a certified lb <= lambda_min (an
-    assembled form's `coercivity_bound`); without one it lies below the
-    Gershgorin bound of A, which is far looser.
+    Deterministic for a fixed seed: the Lanczos start vector is drawn from
+    a seeded generator.  Stage 1 finds an estimate lam_hat >= lambda_1
+    from the shift 1 below lower_bound, a certified lb <= lambda_min (an
+    assembled form's `coercivity_bound`); without one the shift lies below
+    the Gershgorin bound of A, which is far looser.  Stage 2 solves at full
+    precision from a shift below lam_hat and must not land above it.
+
+    start (n x j), e.g. prolonged coarse-mesh eigenvectors, seeds both
+    stages: stage 1 from start[:, 0], stage 2 from the sum of its
+    normalized columns, each with the seeded random vector mixed in at
+    weight 0.01, so that no eigenvector is missing from the Krylov space
+    even when start is orthogonal to it.  A good start lets the Lanczos
+    basis shrink to 2k + 8 vectors and the stage-2 margin to
+    2% of max(1, |lam_hat|).  Without start the basis has max(4k + 10, 40)
+    vectors and the margin is 50%.
     """
     n = A.shape[0]
     if A.shape != (n, n) or M.shape != (n, n):
         raise ValueError("A and M must be square and of equal size")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if n <= max(_DENSE_CUTOFF, 3 * (k + 5)):
+    if _dense(n, k):
         Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
         Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
         vals, V = sla.eigh(Ad, Md)
@@ -101,7 +121,16 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    ncv = min(n - 1, max(4 * k + 10, 40))
+    if start is None:
+        v1, ncv1, ncv, margin = v0, 40, max(4 * k + 10, 40), 0.5
+    else:
+        start = np.asarray(start, dtype=float).reshape(n, -1)
+        unit = start / np.linalg.norm(start, axis=0)
+        noise = 0.01 * v0 / np.linalg.norm(v0)
+        v1 = unit[:, 0] + noise
+        v0 = unit.sum(axis=1) / np.sqrt(unit.shape[1]) + noise
+        ncv1, ncv, margin = 10, 2 * k + 8, 0.02
+    ncv = min(n - 1, ncv)
     # stage 1: shift below the certified bound, so the nearest-to-shift
     # eigenvalue is provably the bottom; loose tolerance keeps it cheap
     if lower_bound is None:
@@ -110,12 +139,12 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         excess = np.asarray(abs(Ac).sum(axis=1)).ravel() - np.abs(diag) - diag
         lower_bound = gershgorin_lower_bound(excess, M)
     sigma1 = float(lower_bound) - 1.0
-    rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v0,
-                       ncv=min(n - 1, 40), maxiter=5000, tol=1e-5,
+    rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v1,
+                       ncv=min(n - 1, ncv1), maxiter=5000, tol=1e-5,
                        return_eigenvectors=False)
     lam_hat = float(np.min(rough))      # >= lambda_1 (Ritz from below in OP)
-    # stage 2: refined shift with a wide safety margin, full precision
-    sigma = lam_hat - 0.5 * max(1.0, abs(lam_hat))
+    # stage 2: refined shift with a safety margin, full precision
+    sigma = lam_hat - margin * max(1.0, abs(lam_hat))
     try:
         vals, V = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", v0=v0,
                              ncv=ncv, maxiter=5000)
@@ -133,6 +162,40 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     res = _residuals(A, M, vals, V)
     return SpectrumResult(vals, V, res, "shift-invert",
                           converged and bool(np.all(res <= tol)), tol, sigma)
+
+
+def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
+                           seed: int = 0) -> SpectrumResult:
+    """k smallest eigenpairs of an assembled form (nested iteration).
+
+    On a delta or delta' form of refinement level >= 2 that takes the
+    Lanczos path, the same form two levels coarser is solved first (by
+    this function, so the coarse solve is warm-started too) and its
+    eigenvectors, prolonged, start the fine solve.  The meshes are nested,
+    so each coarse lambda_j bounds the fine lambda_j from above; a fine
+    result above that bound has missed an eigenvalue.  It, a coarse or
+    fine solve that fails or does not converge, a form without that
+    coarse level, or one whose coarse form has no more than k dofs gets
+    the solve from the seeded random vector alone.  Either way the first
+    shift lies below the form's certified `coercivity_bound`."""
+    solve = functools.partial(lowest_eigenpairs, df.A, df.M, k, tol=tol,
+                              seed=seed, lower_bound=df.coercivity_bound)
+    if (df.interaction is not None and df.mesh.refinement_level >= 2
+            and not _dense(df.n_dofs, k)):
+        cf, P = forms.coarse_form(df)
+        if cf.n_dofs > k:
+            try:
+                coarse = lowest_form_eigenpairs(cf, k, tol, seed)
+                r = solve(start=P @ coarse.eigenvectors)
+            except (RuntimeError, np.linalg.LinAlgError):
+                pass            # ArpackError is a RuntimeError
+            else:
+                bound = coarse.eigenvalues + 1e-6 * np.maximum(
+                    1.0, np.abs(coarse.eigenvalues))
+                if (coarse.converged and r.converged
+                        and np.all(r.eigenvalues <= bound)):
+                    return r
+    return solve()
 
 
 def dense_eigen_oracle(A, M) -> np.ndarray:

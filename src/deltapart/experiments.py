@@ -114,8 +114,7 @@ def jsonable(x):
 
 
 def _solve(df: forms.DiscreteForm, k: int, tol: float, seed: int):
-    r = eigen.lowest_eigenpairs(df.A, df.M, k, tol=tol, seed=seed,
-                                lower_bound=df.coercivity_bound)
+    r = eigen.lowest_form_eigenpairs(df, k, tol=tol, seed=seed)
     if not r.converged:
         raise RuntimeError(
             f"eigensolver did not converge (method {r.method}, "

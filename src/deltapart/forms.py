@@ -13,13 +13,14 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .geometry import InteractionData, PhaseAssignment
-from .mesh import Mesh
+from .mesh import Mesh, coarsen
 
 __all__ = [
     "DiscreteForm",
     "assemble_delta",
     "assemble_delta_prime",
     "assemble_subdomain_robin",
+    "coarse_form",
     "embed_continuous",
     "apply_unitary",
     "rayleigh",
@@ -295,6 +296,44 @@ def assemble_subdomain_robin(m: Mesh, k: int, gamma: float,
                         dof_node=nodes[keep],
                         dof_subdomain=np.full(keep.size, k, dtype=np.int64),
                         full_to_red=full_to_red, coercivity_bound=bound)
+
+
+def coarse_form(df: DiscreteForm):
+    """The form assembled on the mesh two refinements coarser, with the
+    same assembler, interaction and boundary policy, and the prolongation P
+    (sparse, df.n_dofs x coarse n_dofs) of its reduced dofs onto df's.
+
+    P interpolates the coarse P1 function at the fine nodes (the midpoint
+    rule of `mesh.coarsen`, applied per subdomain on broken dofs); coarse
+    dofs removed by the Dirichlet condition contribute 0.  By Galerkin
+    nesting the coarse eigenvalues bound the fine ones from above.  Two
+    levels, not one or three, gave the fastest warm-started solves."""
+    if df.interaction is None:
+        raise ValueError("coarse forms need an assembled delta or delta' form")
+    m, P = df.mesh, None
+    for _ in range(2):
+        m, parents = coarsen(m)
+        n = m.n_nodes
+        mids = np.arange(n, n + parents.shape[0])
+        step = sp.csr_matrix(
+            (np.concatenate([np.ones(n), np.full(2 * mids.size, 0.5)]),
+             (np.concatenate([np.arange(n), np.repeat(mids, 2)]),
+              np.concatenate([np.arange(n), parents.ravel()]))),
+            shape=(n + mids.size, n))
+        P = step if P is None else P @ step
+    assembler = assemble_delta if df.space == "continuous" else assemble_delta_prime
+    cf = assembler(m, df.interaction, df.bc)
+    # nodal weights per fine dof, moved onto the coarse dof of the same
+    # subdomain and node (absent when the Dirichlet condition removed it)
+    Pn = P[df.dof_node].tocoo()
+    key = df.dof_subdomain[Pn.row] * m.n_nodes + Pn.col
+    ckey = cf.dof_subdomain * m.n_nodes + cf.dof_node
+    order = np.argsort(ckey)
+    pos = np.minimum(np.searchsorted(ckey[order], key), ckey.size - 1)
+    hit = ckey[order][pos] == key
+    prolong = sp.csr_matrix((Pn.data[hit], (Pn.row[hit], order[pos[hit]])),
+                            shape=(df.n_dofs, cf.n_dofs))
+    return cf, prolong
 
 
 def embed_continuous(bf: DiscreteForm, f: np.ndarray) -> np.ndarray:

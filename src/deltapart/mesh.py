@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .geometry import Partition, _VertexPool, _cross2, _loop_area
 
-__all__ = ["Mesh", "triangulate", "canonical_mesh", "reflect_split",
+__all__ = ["Mesh", "triangulate", "coarsen", "canonical_mesh", "reflect_split",
            "export_mesh"]
 
 
@@ -260,6 +260,35 @@ def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
     else:
         new_iface = iface_nodes
     return new_nodes, children, child_sub, new_iface
+
+
+def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
+    """Invert the last `_refine_once`: the level L-1 mesh (bitwise equal to
+    `triangulate(p, L-1)`) and the (n_fine - n_coarse, 2) parent nodes of
+    each midpoint node, which the fine mesh numbers after the coarse ones.
+
+    Children of triangle t are rows 4t..4t+3, (a, mab, mca), (mab, b, mbc),
+    (mca, mbc, c), (mab, mbc, mca); interface edge q splits into rows 2q
+    (a, mid) and 2q+1 (mid, b)."""
+    if m.refinement_level < 1:
+        raise ValueError("a level-0 mesh has no coarser level")
+    t0, t1, t2, t3 = (m.triangles[j::4] for j in range(4))
+    triangles = np.stack([t0[:, 0], t1[:, 1], t2[:, 2]], axis=1)
+    n = int(t3.min())
+    parents = np.empty((m.n_nodes - n, 2), dtype=np.int64)
+    for mid, u, v in ((t3[:, 0], t0[:, 0], t1[:, 1]),
+                      (t3[:, 1], t1[:, 1], t2[:, 2]),
+                      (t3[:, 2], t2[:, 2], t0[:, 0])):
+        parents[mid - n] = np.sort(np.stack([u, v], axis=1), axis=1)
+    ie = m.iface_edge_nodes
+    outer = m.outer_boundary_nodes
+    coarse = Mesh(m.nodes[:n], triangles, m.tri_subdomain[::4],
+                  np.stack([ie[0::2, 0], ie[1::2, 1]], axis=1),
+                  m.iface_edge_id[::2], m.iface_edge_kl[::2],
+                  m.iface_edge_normal[::2], 2.0 * m.iface_edge_length[::2],
+                  outer[outer < n], m.refinement_level - 1, m.box_radius,
+                  m.symmetry_axis)
+    return coarse, parents
 
 
 def triangulate(p: Partition, levels: int) -> Mesh:

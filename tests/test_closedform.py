@@ -84,6 +84,13 @@ def test_interval_strict_threshold_and_oracle(beta, l):
     assert abs(fem - r.epsilon) <= 1e-6 * abs(r.epsilon)
 
 
+def test_interval_fem_oracle_is_deterministic():
+    # an eigsh call without v0 draws ARPACK's process-wide random start,
+    # which moves from call to call in the last digits
+    vals = [closedform.interval_fem_oracle(0.7, 2.0) for _ in range(3)]
+    assert vals[0] == vals[1] == vals[2]
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         closedform.interval_delta_prime(-1.0, 1.0)

@@ -479,3 +479,81 @@ def test_delta_prime_eigenvalues_below_delta(problem):
                       forms.assemble_delta_prime(m, d, "dirichlet"))]
     for lc, lb in zip(*lam):
         assert lb <= lc + 1e-10 * max(1.0, abs(lc))
+
+
+# -- coarse forms and the nested-mesh prolongation ------------------------------
+
+def _coarse_pair(name, params, operator, bc):
+    _, m, d = _setup(name, 3, alpha=0.8, beta=1.5, **params)
+    maker = forms.assemble_delta if operator == "delta" else forms.assemble_delta_prime
+    df = maker(m, d, bc)
+    return df, forms.coarse_form(df)
+
+
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+@pytest.mark.parametrize("name,params", [("star3", {}),
+                                         ("grid", {"variant": "chi4"})])
+def test_prolongation_reproduces_linear_functions(name, params, operator):
+    """Neumann: P maps a function linear on each subdomain (a different one
+    per subdomain on broken dofs) at the coarse dofs to the same function
+    at the fine dofs.  Dirichlet: P is the Neumann P on the kept dofs."""
+    fine, (coarse, P) = _coarse_pair(name, params, operator, "neumann")
+    assert coarse.mesh.refinement_level == 1 and P.shape == (fine.n_dofs, coarse.n_dofs)
+    rng = np.random.default_rng(1)
+    coef = rng.standard_normal((int(fine.mesh.subdomain_ids().max()) + 1, 3))
+
+    def linear(df):
+        c = coef[df.dof_subdomain]
+        xy = df.mesh.nodes[df.dof_node]
+        return c[:, 0] + c[:, 1] * xy[:, 0] + c[:, 2] * xy[:, 1]
+
+    want = linear(fine)
+    assert np.allclose(P @ linear(coarse), want, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(want)))
+    if operator == "delta-prime":
+        assert np.unique(fine.dof_subdomain).size > 1
+    fd, (cd, Pd) = _coarse_pair(name, params, operator, "dirichlet")
+    rows = fine.full_to_red[fd.full_to_red >= 0]
+    cols = coarse.full_to_red[cd.full_to_red >= 0]
+    assert (Pd != P[rows][:, cols]).nnz == 0
+
+
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_coarse_form_is_the_galerkin_restriction(operator, bc):
+    # nested spaces: the coarse pencil is P'(A, M)P up to rounding
+    fine, (coarse, P) = _coarse_pair("grid", {"variant": "chi4"}, operator, bc)
+    for F, C in ((fine.A, coarse.A), (fine.M, coarse.M)):
+        G = (P.T @ F @ P).toarray()
+        assert np.max(np.abs(G - C.toarray())) <= 1e-12 * np.max(np.abs(C.toarray()))
+
+
+def test_coarse_form_needs_an_interaction():
+    _, m, _ = _setup("star3", 2)
+    rf = forms.assemble_subdomain_robin(m, int(m.subdomain_ids()[0]), 1.0)
+    with pytest.raises(ValueError, match="delta"):
+        forms.coarse_form(rf)
+
+
+@st.composite
+def _nested_problems(draw):
+    name, params = draw(st.sampled_from(_MULTI_INTERFACE))
+    p = geometry.build_canonical_partition(name, dict(params, box_radius=4.0))
+    m = mesh.triangulate(p, draw(st.integers(1, 3)))
+    maker = draw(st.sampled_from([forms.assemble_delta, forms.assemble_delta_prime]))
+    bc = draw(st.sampled_from(["dirichlet", "neumann"]))
+    return m, _random_interaction(draw, p), maker, bc
+
+
+@settings(max_examples=30, deadline=None)
+@given(_nested_problems())
+def test_galerkin_nesting(problem):
+    """lambda_j(level L) <= lambda_j(level L-1), j <= 5: the coarse space
+    is a subspace of the fine one, so by min-max each coarse eigenvalue
+    bounds the fine one from above."""
+    m, d, maker, bc = problem
+    lam = [sla.eigh(f.A.toarray(), f.M.toarray(), eigvals_only=True,
+                    subset_by_index=[0, min(4, f.n_dofs - 1)])
+           for f in (maker(m, d, bc), maker(mesh.coarsen(m)[0], d, bc))]
+    for lf, lc in zip(*lam):
+        assert lf <= lc + 1e-10 * max(1.0, abs(lc))

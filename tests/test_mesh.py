@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,30 @@ def test_export_mesh_format():
     first_v = lines[0].split()
     assert first_v[0] == "v" and len(first_v) == 3
     float(first_v[1]), float(first_v[2])   # parse back
+
+
+@pytest.mark.parametrize("name,params",
+                         [(n, {}) for n in geometry.CANONICAL_NAMES]
+                         + [("grid", {"variant": "chi4"})])
+def test_coarsen_inverts_refinement(name, params):
+    p = geometry.build_canonical_partition(name, dict(params, box_radius=4.0))
+    for levels in (1, 2, 3):
+        fine = mesh.triangulate(p, levels)
+        coarse, parents = mesh.coarsen(fine)
+        ref = mesh.triangulate(p, levels - 1)
+        for field in dataclasses.fields(mesh.Mesh):
+            got, want = getattr(coarse, field.name), getattr(ref, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
+        assert parents.shape == (fine.n_nodes - coarse.n_nodes, 2)
+        mids = 0.5 * (coarse.nodes[parents[:, 0]] + coarse.nodes[parents[:, 1]])
+        assert np.array_equal(mids, fine.nodes[coarse.n_nodes:])
+
+
+def test_coarsen_level_zero():
+    _, m = _mesh("star3", 0)
+    with pytest.raises(ValueError, match="level-0"):
+        mesh.coarsen(m)
