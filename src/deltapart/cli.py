@@ -86,8 +86,7 @@ def _typename(x) -> str:
     return type(x).__name__
 
 
-def _number(obj, path, default=None, required=False, positive=False,
-            nonnegative=False):
+def _number(obj, path, default=None, required=False, positive=False):
     if path.split(".")[-1] not in obj and not required:
         return default
     key = path.split(".")[-1]
@@ -98,8 +97,6 @@ def _number(obj, path, default=None, required=False, positive=False,
         raise ConfigError(f"{path}: expected a number, got {_typename(v)}")
     if positive and not v > 0:
         raise ConfigError(f"{path}: must be strictly positive, got {v}")
-    if nonnegative and v < 0:
-        raise ConfigError(f"{path}: must be non-negative, got {v}")
     return float(v)
 
 

@@ -69,9 +69,12 @@ def m_functions(omega: float, t: float) -> tuple[float, float]:
         raise ValueError("omega must lie in [0, 1]")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    m1 = (4.0 - omega * (1.0 - t)) ** 2 / 3.0
-    m2 = (4.0 + 3.0 * omega / t) ** 2 / 4.0
-    return m1, m2
+    return _m12(omega, t)
+
+
+def _m12(omega, t):
+    """(M1, M2) at scalars or arrays, unvalidated."""
+    return (4.0 - omega * (1.0 - t)) ** 2 / 3.0, (4.0 + 3.0 * omega / t) ** 2 / 4.0
 
 
 def omega_star(t: float) -> float:
@@ -100,12 +103,6 @@ def _crossing_value(t: float) -> float:
     return m_functions(omega_star(t), t)[1]
 
 
-def _pointwise_max(omega, t):
-    m1 = (4.0 - omega * (1.0 - t)) ** 2 / 3.0
-    m2 = (4.0 + 3.0 * omega / t) ** 2 / 4.0
-    return np.maximum(m1, m2)
-
-
 def _grid_oracle(n: int = 1_000_001) -> float:
     """Dense t-grid oracle (>= 10^6 points), independent of the closed-form
     crossing curve: for every t the inner min over omega of max(M1, M2) is
@@ -114,7 +111,8 @@ def _grid_oracle(n: int = 1_000_001) -> float:
     ts = np.linspace(1e-6, 1.0 - 1e-6, n)
 
     def gap(w):
-        return (4.0 - w * (1.0 - ts)) ** 2 / 3.0 - (4.0 + 3.0 * w / ts) ** 2 / 4.0
+        m1, m2 = _m12(w, ts)
+        return m1 - m2
 
     lo = np.zeros_like(ts)
     hi = np.ones_like(ts)
@@ -125,11 +123,10 @@ def _grid_oracle(n: int = 1_000_001) -> float:
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     wc = np.where(no_cross, 1.0, 0.5 * (lo + hi))
-    vals = _pointwise_max(wc, ts)
-    return float(np.min(vals))
+    return float(np.min(np.maximum(*_m12(wc, ts))))
 
 
-def minimax_star(precision: float = 1e-14) -> MinimaxReport:
+def minimax_star() -> MinimaxReport:
     """min over t > 0, omega in [0,1] of max(M1, M2), by the analytic crossing
     curve plus golden-section search, cross-validated by a dense grid oracle.
 
@@ -137,8 +134,6 @@ def minimax_star(precision: float = 1e-14) -> MinimaxReport:
     closed form are reported; certified bounds elsewhere use the derived
     (weaker, hence safe) constant.
     """
-    if precision < 1e-14:
-        raise ValueError("precision below 1e-14 is not supported")
     res = opt.minimize_scalar(_crossing_value, bracket=(0.2, 0.5, 0.8),
                               method="golden", options={"xtol": 1e-10})
     t_star = float(res.x)

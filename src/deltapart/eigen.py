@@ -1,9 +1,11 @@
 """Generalized symmetric eigensolvers.
 
 `lowest_eigenpairs` is the production path (dense LAPACK for small problems,
-seeded two-stage shift-invert Lanczos above that); `lowest_form_eigenpairs`
-runs it on an assembled form, started from the prolonged eigenvectors of
-the same form two mesh levels coarser (nested iteration).
+seeded two-stage shift-invert Lanczos above that, whose first shift sits
+below a certified lower bound the caller passes); `lowest_form_eigenpairs`
+runs it on an assembled form with the form's `coercivity_bound`, started
+from the prolonged eigenvectors of the same form two mesh levels coarser
+(nested iteration).
 `dense_eigen_oracle` is a self-contained cross-check that shares no
 factorization code with it: its Cholesky, triangular solves and
 Householder reduction are blocked numpy kernels built on matmul alone,
@@ -61,24 +63,6 @@ def _residuals(A, M, vals, V):
     return out
 
 
-def gershgorin_lower_bound(excess: np.ndarray, M) -> float:
-    """Certified lower bound lb <= lambda_min(A, M) for a P1 mass matrix M,
-    given a per-row excess e with A + diag(e) psd (by Gershgorin, whenever
-    A + diag(e) is diagonally dominant with nonnegative diagonal).  It
-    places the first shift of `lowest_eigenpairs` for a pencil passed
-    without `lower_bound`; assembled forms carry a tighter bound.
-
-    With the lumped mass L = diag(M 1) and c = max(0, max_i e_i / L_ii),
-    A >= -diag(e) >= -c L, and L <= 4M in the psd order for P1 mass
-    matrices, hence v'Av >= -4c v'Mv.  A shift below lb makes shift-invert
-    Lanczos provably target the bottom of the pencil."""
-    lump = np.asarray(M.sum(axis=1)).ravel()
-    if np.any(lump <= 0.0):
-        raise ValueError("lumped mass is not positive; pass lower_bound")
-    c = float(np.max(excess / lump, initial=0.0))
-    return -4.0 * c if c > 0.0 else 0.0
-
-
 def _dense(n: int, k: int) -> bool:
     return n <= max(_DENSE_CUTOFF, 3 * (k + 5))
 
@@ -88,12 +72,14 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
                       start: np.ndarray | None = None) -> SpectrumResult:
     """k smallest eigenpairs of A v = lam M v (A symmetric, M SPD).
 
-    Deterministic for a fixed seed: the Lanczos start vector is drawn from
-    a seeded generator.  Stage 1 finds an estimate lam_hat >= lambda_1
-    from the shift 1 below lower_bound, a certified lb <= lambda_min (an
-    assembled form's `coercivity_bound`); without one the shift lies below
-    the Gershgorin bound of A, which is far looser.  Stage 2 solves at full
-    precision from a shift below lam_hat and must not land above it.
+    Pencils of at most _DENSE_CUTOFF rows (or 3(k + 5)) go to dense LAPACK.
+    Above that the solve is two-stage shift-invert Lanczos, deterministic for
+    a fixed seed: the start vector is drawn from a seeded generator.  Stage 1
+    finds an estimate lam_hat >= lambda_1 from the shift 1 below lower_bound,
+    a certified lb <= lambda_min (an assembled form's `coercivity_bound`),
+    which this path requires: without it a ValueError is raised.  Stage 2
+    solves at full precision from a shift below lam_hat and must not land
+    above it.
 
     start (n x j), e.g. prolonged coarse-mesh eigenvectors, seeds both
     stages: stage 1 from start[:, 0], stage 2 from the sum of its
@@ -119,6 +105,9 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         return SpectrumResult(vals, V, res, "dense",
                               bool(np.all(res <= tol)), tol, None)
 
+    if lower_bound is None:
+        raise ValueError(f"a pencil of {n} rows takes the Lanczos path, which "
+                         "needs lower_bound, a certified bound below lambda_1")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     if start is None:
@@ -133,11 +122,6 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     ncv = min(n - 1, ncv)
     # stage 1: shift below the certified bound, so the nearest-to-shift
     # eigenvalue is provably the bottom; loose tolerance keeps it cheap
-    if lower_bound is None:
-        Ac = sp.csr_matrix(A)
-        diag = Ac.diagonal()
-        excess = np.asarray(abs(Ac).sum(axis=1)).ravel() - np.abs(diag) - diag
-        lower_bound = gershgorin_lower_bound(excess, M)
     sigma1 = float(lower_bound) - 1.0
     rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v1,
                        ncv=min(n - 1, ncv1), maxiter=5000, tol=1e-5,

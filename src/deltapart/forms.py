@@ -379,7 +379,7 @@ FAMILIES = ("deformation_fn", "wedge_psi_np")
 
 def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     """Nodal interpolation of an analytic family. deformation_fn returns one
-    value per node; wedge_psi_np returns a full broken complex vector for the
+    value per node, bump(x / n) exp(-alpha |y| / 2); wedge_psi_np returns a full broken complex vector for the
     broken dof layout params["layout"] = (dof_node, dof_subdomain)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -389,10 +389,9 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     if family == "deformation_fn":
         n = float(params["n"])
         alpha = float(params["alpha"])
-        center = float(params.get("center", 0.0))
-        if abs(center) + 2.0 * n > R:
+        if 2.0 * n > R:
             raise ValueError("cutoff support exceeds the box")
-        return bump((x - center) / n) * np.exp(-0.5 * alpha * np.abs(y))
+        return bump(x / n) * np.exp(-0.5 * alpha * np.abs(y))
     # wedge_psi_np: broken, complex, sign flip across the interface ray
     dof_node, dof_subdomain = params["layout"]
     n = float(params["n"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -328,7 +329,7 @@ def _half_plane(R: float) -> Partition:
 
 def _wedge(R: float, phi: float) -> Partition:
     if not (0 < phi <= math.pi):
-        raise ValueError(f"wedge angle must lie in (0, pi], got {phi}")
+        raise ValueError(f"wedge angle phi must lie in (0, pi], got {phi}")
     pool = _VertexPool(R)
     o = pool.add(0.0, 0.0)
     e1 = _ray_box_exit(math.pi / 2 - phi / 2, R)
@@ -519,36 +520,73 @@ def _grid_chi4(R: float) -> Partition:
     return Partition(R, v, subs, _derive_interfaces(v, subs))
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+def _is_points(v) -> bool:
+    try:
+        return all(len(pt) == 2 and all(map(_is_real, pt)) for pt in v)
+    except TypeError:
+        return False
+
+
+def _param(params: dict, key: str, default, ok, expected: str):
+    """Pop params[key] (or default) and check it, naming the key if bad."""
+    v = params.pop(key, default)
+    if not ok(v):
+        raise ValueError(f"geometry parameter {key!r}: expected {expected}, "
+                         f"got {v!r}")
+    return v
+
+
+def _count(params: dict, key: str, default: int, least: int) -> int:
+    return int(_param(params, key, default,
+                      lambda v: isinstance(v, numbers.Integral)
+                      and not isinstance(v, bool) and v >= least,
+                      f"an integer >= {least}"))
+
+
+def _points(params: dict, key: str, default) -> np.ndarray:
+    v = _param(params, key, default, _is_points, "a list of [x, y] points")
+    return np.asarray(v, dtype=float).reshape(-1, 2)
+
+
 def build_canonical_partition(name: str, params: dict | None = None) -> Partition:
     params = dict(params or {})
     if name not in CANONICAL_NAMES:
         raise ValueError(f"unknown canonical partition {name!r}; "
                          f"expected one of {CANONICAL_NAMES}")
-    R = float(params.pop("box_radius", 8.0))
-    if not R > 0:
-        raise ValueError("box_radius must be positive")
+    R = float(_param(params, "box_radius", 8.0, _is_positive, "a positive number"))
     if name == "half_plane":
         p = _half_plane(R)
     elif name == "wedge":
-        p = _wedge(R, float(params.pop("phi", 2 * math.pi / 3)))
+        p = _wedge(R, float(_param(params, "phi", 2 * math.pi / 3, _is_real,
+                                   "a number")))
     elif name == "star3":
         p = _star3(R)
     elif name == "line_with_bump":
         default = [(-1.0, 1.0), (1.0, 1.0), (1.0, 3.0), (-1.0, 3.0)]
-        p = _line_with_bump(R, np.asarray(params.pop("bump", default)))
+        p = _line_with_bump(R, _points(params, "bump", default))
     elif name == "island":
-        poly = params.pop("polygon", None)
-        if poly is None:
-            r = float(params.pop("radius", 3.0))
-            ngon = int(params.pop("sides", 16))
+        if "polygon" in params:
+            poly = _points(params, "polygon", None)
+        else:
+            r = float(_param(params, "radius", 3.0, _is_positive, "a positive number"))
+            ngon = _count(params, "sides", 16, 3)
             ang = 2 * math.pi * np.arange(ngon) / ngon
             poly = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-        p = _island_partition(R, np.asarray(poly))
+        p = _island_partition(R, poly)
     else:  # grid
-        if params.pop("variant", None) == "chi4":
+        if _param(params, "variant", None, lambda v: v in (None, "chi4"),
+                  "'chi4'") == "chi4":
             p = _grid_chi4(R)
         else:
-            p = _grid(R, int(params.pop("rows", 2)), int(params.pop("cols", 2)))
+            p = _grid(R, _count(params, "rows", 2, 1), _count(params, "cols", 2, 1))
     if params:
         raise ValueError(f"unknown parameters {sorted(params)} for geometry {name!r}")
     validate_partition(p)

@@ -25,7 +25,6 @@ class Mesh:
     iface_edge_nodes: np.ndarray     # (q, 2) int64, node pair per interface edge
     iface_edge_id: np.ndarray        # (q,) interface id
     iface_edge_kl: np.ndarray        # (q, 2) adjacent subdomain ids (k, l)
-    iface_edge_normal: np.ndarray    # (q, 2) unit normal oriented from k to l
     iface_edge_length: np.ndarray    # (q,)
     outer_boundary_nodes: np.ndarray  # sorted node indices on the box boundary
     refinement_level: int
@@ -158,61 +157,28 @@ def _coarse_mesh(p: Partition):
     return nodes, triangles, tri_subdomain
 
 
-def _point_on_segment(pt, a, b, tol) -> bool:
-    ab = b - a
-    ap = pt - a
-    L2 = float(ab @ ab)
-    if L2 == 0.0:
-        return False
-    t = float(ap @ ab) / L2
-    if t < -tol or t > 1 + tol:
-        return False
-    d = ap - t * ab
-    return float(d @ d) <= tol * tol * L2
-
-
 def _derive_interface_edges(p: Partition, nodes, triangles, tri_subdomain):
-    edge_map: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for t in range(triangles.shape[0]):
-        a, b, c = triangles[t]
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            key = (min(u, v), max(u, v))
-            edge_map.setdefault(key, []).append((t, w))
-    seg_cache = [(itf, [(p.vertices[i], p.vertices[j]) for i, j in itf.segments])
-                 for itf in p.interfaces]
-    tol = 1e-9
-    rows = []
-    for (u, v), owners in sorted(edge_map.items()):
-        if len(owners) != 2:
-            continue
-        (t1, w1), (t2, w2) = owners
-        s1, s2 = tri_subdomain[t1], tri_subdomain[t2]
-        if s1 == s2:
-            continue
-        mid = 0.5 * (nodes[u] + nodes[v])
-        parent = None
-        for itf, segs in seg_cache:
-            if {itf.k, itf.l} != {int(s1), int(s2)}:
-                continue
-            if any(_point_on_segment(mid, a, b, tol) for a, b in segs):
-                parent = itf
-                break
-        if parent is None:
-            raise ValueError(f"triangulation edge {(u, v)} separates subdomains "
-                             f"{s1}/{s2} but lies on no interface")
-        opp = w1 if tri_subdomain[t1] == parent.k else w2
-        e = nodes[v] - nodes[u]
-        length = float(np.hypot(e[0], e[1]))
-        n0 = np.array([e[1], -e[0]]) / length
-        if float(n0 @ (nodes[opp] - mid)) > 0:
-            n0 = -n0
-        rows.append((u, v, parent.id, parent.k, parent.l, n0[0], n0[1], length))
-    if not rows:
-        arr = lambda shape: np.zeros(shape, dtype=np.int64)
-        return (arr((0, 2)), arr(0), arr((0, 2)), np.zeros((0, 2)), np.zeros(0))
-    raw = np.array(rows, dtype=float)
-    return (raw[:, 0:2].astype(np.int64), raw[:, 2].astype(np.int64),
-            raw[:, 3:5].astype(np.int64), raw[:, 5:7], raw[:, 7])
+    """Node pair, interface id, (k, l) and length of every coarse-mesh edge
+    between two subdomains, in sorted node-pair order.  The coarse mesh
+    numbers the partition's vertices first, so these edges must be exactly
+    the interfaces' polyline segments, looked up by sorted vertex pair."""
+    segment = {(min(a, b), max(a, b)): itf
+               for itf in p.interfaces for a, b in itf.segments}
+    sides: Dict[Tuple[int, int], List[int]] = {}
+    for (a, b, c), s in zip(triangles.tolist(), tri_subdomain.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            sides.setdefault((min(u, v), max(u, v)), []).append(s)
+    cut = {e: tuple(sorted(s)) for e, s in sides.items()
+           if len(s) == 2 and s[0] != s[1]}
+    if cut != {e: (itf.k, itf.l) for e, itf in segment.items()}:
+        raise ValueError("the mesh edges between two subdomains are not the "
+                         "interface segments")
+    order = sorted(cut)
+    edges = np.array(order, dtype=np.int64).reshape(-1, 2)
+    dx = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    return (edges, np.array([segment[e].id for e in order], dtype=np.int64),
+            np.array([cut[e] for e in order], dtype=np.int64).reshape(-1, 2),
+            np.hypot(dx[:, 0], dx[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +251,7 @@ def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
     coarse = Mesh(m.nodes[:n], triangles, m.tri_subdomain[::4],
                   np.stack([ie[0::2, 0], ie[1::2, 1]], axis=1),
                   m.iface_edge_id[::2], m.iface_edge_kl[::2],
-                  m.iface_edge_normal[::2], 2.0 * m.iface_edge_length[::2],
+                  2.0 * m.iface_edge_length[::2],
                   outer[outer < n], m.refinement_level - 1, m.box_radius,
                   m.symmetry_axis)
     return coarse, parents
@@ -295,21 +261,20 @@ def triangulate(p: Partition, levels: int) -> Mesh:
     if levels < 0:
         raise ValueError("levels must be >= 0")
     nodes, triangles, tri_subdomain = _coarse_mesh(p)
-    (iface_nodes, iface_id, iface_kl, iface_normal,
-     iface_len) = _derive_interface_edges(p, nodes, triangles, tri_subdomain)
+    iface_nodes, iface_id, iface_kl, iface_len = _derive_interface_edges(
+        p, nodes, triangles, tri_subdomain)
     for _ in range(levels):
         nodes, triangles, tri_subdomain, iface_nodes = _refine_once(
             nodes, triangles, tri_subdomain, iface_nodes)
         iface_id = np.repeat(iface_id, 2)
         iface_kl = np.repeat(iface_kl, 2, axis=0)
-        iface_normal = np.repeat(iface_normal, 2, axis=0)
         iface_len = np.repeat(iface_len, 2) / 2.0
     R = p.box_radius
     tol = 1e-9 * max(R, 1.0)
     on_box = (np.abs(np.abs(nodes[:, 0]) - R) < tol) | (np.abs(np.abs(nodes[:, 1]) - R) < tol)
     outer = np.flatnonzero(on_box).astype(np.int64)
     m = Mesh(nodes, triangles, tri_subdomain, iface_nodes, iface_id, iface_kl,
-             iface_normal, iface_len, outer, levels, R, p.symmetry_axis)
+             iface_len, outer, levels, R, p.symmetry_axis)
     _check_mesh(p, m)
     return m
 

@@ -116,6 +116,27 @@ def test_solver_max_iter_rejected(tmp_path, capsys):
     assert "solver.max_iter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("line_with_bump", "bump", 5),
+    ("island", "polygon", [1, 2, 3]),
+    ("island", "radius", [1]),
+    ("wedge", "phi", None),
+    ("island", "sides", [3]),
+    ("grid", "cols", None),
+    ("grid", "variant", "chi3"),
+    ("grid", "rows", 2.5),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_malformed_geometry_params(tmp_path, capsys, name, key, value):
+    """Each ends in a named error and exit 1, not a traceback or another
+    partition."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"geometry": {"name": name, "params": {key: value}},
+                             "box_radius": 4, "levels": 0}))
+    assert cli.main(["partition", "info", "--config", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     f = tmp_path / "cfg.json"

@@ -107,10 +107,14 @@ def test_certified_bound_below_true_minimum():
         df = _form("line_with_bump", 2, operator=operator, bc="neumann",
                    alpha=2.0, beta=0.6)
         ref = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True)[0]
-        diag = df.A.diagonal()
-        excess = np.asarray(abs(df.A).sum(axis=1)).ravel() - np.abs(diag) - diag
-        assert eigen.gershgorin_lower_bound(excess, df.M) <= ref + 1e-12
         assert df.coercivity_bound <= ref + 1e-12
+
+
+def test_lanczos_path_needs_lower_bound():
+    df = _form("half_plane", 4)
+    assert df.n_dofs > eigen._DENSE_CUTOFF
+    with pytest.raises(ValueError, match="lower_bound"):
+        eigen.lowest_eigenpairs(df.A, df.M, 1)
 
 
 # -- nested-mesh warm start ---------------------------------------------------

@@ -257,8 +257,7 @@ def _one_triangle_mesh(sides):
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]), tri_subdomain=np.array([1]),
         iface_edge_nodes=np.array(sides), iface_edge_id=np.ones(q, dtype=np.int64),
-        iface_edge_kl=np.tile([1, 2], (q, 1)), iface_edge_normal=np.zeros((q, 2)),
-        iface_edge_length=np.ones(q), outer_boundary_nodes=np.array([1, 2]),
+        iface_edge_kl=np.tile([1, 2], (q, 1)), iface_edge_length=np.ones(q), outer_boundary_nodes=np.array([1, 2]),
         refinement_level=0, box_radius=1.0)
 
 
@@ -333,10 +332,12 @@ def test_patch_bound_against_edge_loop(name):
 
 
 def _gershgorin_bound(df, stiffness):
-    """The earlier coupling bound: Gershgorin excess of the coupling
-    A - stiffness over the lumped mass."""
+    """The earlier coupling bound: with e the row sums of |A - stiffness|,
+    A + diag(e) is psd, and with the lumped mass L = diag(M 1) <= 4M (P1),
+    lambda_min >= -4 max(0, max_i e_i / L_ii)."""
     excess = np.asarray(abs(df.A - stiffness.A).sum(axis=1)).ravel()
-    return eigen.gershgorin_lower_bound(excess, df.M)
+    lump = np.asarray(df.M.sum(axis=1)).ravel()
+    return -4.0 * max(0.0, float(np.max(excess / lump)))
 
 
 @pytest.mark.parametrize("name,levels", [("half_plane", 3), ("star3", 3),

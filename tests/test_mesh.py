@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltapart import forms, geometry, mesh
 
@@ -32,13 +34,73 @@ def test_interface_edges_cover_interfaces(name):
     for itf in p.interfaces:
         total = float(np.sum(m.iface_edge_length[m.iface_edge_id == itf.id]))
         assert total == pytest.approx(itf.length, rel=1e-12)
-    # every interface edge lies between its two subdomains, unit normals
-    for q in range(m.iface_edge_nodes.shape[0]):
-        n = m.iface_edge_normal[q]
-        assert np.linalg.norm(n) == pytest.approx(1.0)
-        a, b = m.nodes[m.iface_edge_nodes[q]]
-        tangent = (b - a) / np.linalg.norm(b - a)
-        assert abs(float(n @ tangent)) <= 1e-12
+
+
+def _cut_edges(m):
+    """{sorted node pair: sorted subdomain pair} of every mesh edge between
+    two subdomains, from the triangles alone."""
+    sides = {}
+    for tri, s in zip(m.triangles.tolist(), m.tri_subdomain.tolist()):
+        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            sides.setdefault((min(u, v), max(u, v)), []).append(s)
+    return {e: tuple(sorted(s)) for e, s in sides.items()
+            if len(s) == 2 and s[0] != s[1]}
+
+
+def test_interface_edges_reject_relabelled_triangle():
+    p = geometry.build_canonical_partition("star3", {"box_radius": 4.0})
+    nodes, triangles, tri_subdomain = mesh._coarse_mesh(p)
+    mesh._derive_interface_edges(p, nodes, triangles, tri_subdomain)
+    for t in range(triangles.shape[0]):
+        for other in set(p.subdomain_ids()) - {int(tri_subdomain[t])}:
+            relabelled = tri_subdomain.copy()
+            relabelled[t] = other
+            with pytest.raises(ValueError, match="interface segments"):
+                mesh._derive_interface_edges(p, nodes, triangles, relabelled)
+
+
+def _convex_polygon(draw, centre_y, max_axis):
+    """3-8 points on a rotated ellipse with semi-axes in [0.5, max_axis],
+    angular gaps within a factor 3 of each other."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n)))
+    ang = draw(st.floats(0.0, 2 * np.pi)) + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    a, b = draw(st.floats(0.5, max_axis)), draw(st.floats(0.5, max_axis))
+    rot = draw(st.floats(0.0, np.pi))
+    cx, cy = draw(st.floats(-0.5, 0.5)), centre_y + draw(st.floats(-0.3, 0.3))
+    x, y = a * np.cos(ang), b * np.sin(ang)
+    return np.stack([cx + np.cos(rot) * x - np.sin(rot) * y,
+                     cy + np.sin(rot) * x + np.cos(rot) * y], axis=1).tolist()
+
+
+@st.composite
+def _random_partitions(draw):
+    """A random convex island (box radius 4) or line_with_bump bump."""
+    if draw(st.booleans()):
+        return geometry.build_canonical_partition(
+            "island", {"box_radius": 4.0,
+                       "polygon": _convex_polygon(draw, 0.0, 3.0)})
+    return geometry.build_canonical_partition(
+        "line_with_bump", {"box_radius": 4.0,
+                           "bump": _convex_polygon(draw, 2.0, 1.5)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_partitions())
+def test_interface_edges_are_the_polyline_segments(p):
+    m0 = mesh.triangulate(p, 0)
+    want = {(min(a, b), max(a, b)): itf for itf in p.interfaces
+            for a, b in itf.segments}
+    assert _cut_edges(m0) == {e: (itf.k, itf.l) for e, itf in want.items()}
+    got = {tuple(e): int(i) for e, i in zip(m0.iface_edge_nodes.tolist(),
+                                            m0.iface_edge_id)}
+    assert got == {e: itf.id for e, itf in want.items()}
+    m1 = mesh.triangulate(p, 1)
+    assert set(_cut_edges(m1)) == {(min(a, b), max(a, b))
+                                   for a, b in m1.iface_edge_nodes.tolist()}
+    for itf in p.interfaces:
+        total = float(np.sum(m1.iface_edge_length[m1.iface_edge_id == itf.id]))
+        assert total == pytest.approx(itf.length, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", geometry.CANONICAL_NAMES)
