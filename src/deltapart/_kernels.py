@@ -147,29 +147,89 @@ def tridiagonalize(a: np.ndarray):
     return np.diag(a).copy(), e
 
 
-def _sturm_count(d, e2, xs):
-    """Number of eigenvalues of the tridiagonal matrix strictly below each x."""
+# sweep cap; multisection points a bracket gets at least; a Newton step
+# above this share of the last is slow and gets multisection points too
+_MAX_SWEEPS = 100
+_MIN_SECTION = 7
+_STALL = 0.25
+_COUNT_ROWS = 128
+
+
+def _sturm_count(d, e2, xs, m=None):
+    """Number of eigenvalues of the tridiagonal matrix strictly below each x.
+
+    Given m, it returns (counts, s), where s holds the Newton sums
+    S(x) = d/dx log|det(T - x)| = sum_i q_i'/q_i of the first m points.  They
+    come from the derivative of the pivot recurrence,
+    q_i' = -1 + e2_{i-1} q_{i-1}' / q_{i-1}^2, carried as u_i = q_i'/q_i:
+    u_i = (t u_{i-1} - 1) / q_i with t = e2_{i-1} / q_{i-1}.  A pivot that
+    vanishes makes S infinite or nan; the caller checks it.
+
+    IEEE arithmetic needs no guard on small pivots: a zero pivot gives
+    t = +inf and the next pivot -inf, the signs that replacing it by +tiny
+    gives.  A zero coupling skips the division (0/0), and d + 0.0 turns a
+    -0.0 pivot, whose infinity would have the wrong sign, into +0.0.
+    """
     n = d.shape[0]
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    tiny = np.finfo(float).tiny
-    neg = np.empty((n,) + xs.shape, dtype=bool)
-    q = np.subtract(d[0], xs)
+    # signs of _COUNT_ROWS rows at a time, so memory does not grow with n
+    neg = np.empty((min(n, _COUNT_ROWS),) + xs.shape, dtype=bool)
+    count = np.zeros(xs.shape, dtype=np.intp)
+    q = np.subtract(d[0] + 0.0, xs)
     t = np.empty_like(q)
     np.less(q, 0.0, out=neg[0])
-    dl, e2l = d.tolist(), e2.tolist()
-    for i in range(1, n):
-        if not np.abs(q, out=t).min() >= tiny:      # true also on a nan
-            # a pivot below tiny becomes +-tiny, with the sign of q
-            small = t < tiny
-            q[small] = np.where(q[small] < 0.0, -tiny, tiny)
-        np.divide(e2l[i - 1], q, out=t)
-        np.subtract(dl[i], xs, out=q)
-        q -= t
-        np.less(q, 0.0, out=neg[i])
-    return np.count_nonzero(neg, axis=0)
+    dl, e2l = (d + 0.0).tolist(), e2.tolist()
+    newton = m is not None
+    qm, tm = q[:m or 0], t[:m or 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.divide(-1.0, qm)
+        s = u.copy()
+        for i0 in range(0, n, neg.shape[0]):
+            rows = neg[:n - i0]
+            for i in range(max(i0, 1), i0 + rows.shape[0]):
+                if e2l[i - 1]:
+                    np.divide(e2l[i - 1], q, out=t)
+                    np.subtract(dl[i], xs, out=q)
+                    q -= t
+                    if newton:
+                        u *= tm
+                        u -= 1.0
+                        u /= qm
+                else:
+                    np.subtract(dl[i], xs, out=q)
+                    if newton:
+                        np.divide(-1.0, qm, out=u)
+                np.less(q, 0.0, out=rows[i - i0])
+                if newton:
+                    s += u
+            count += np.count_nonzero(rows, axis=0)
+    return (count, s) if newton else count
 
 
 def tridiag_eigenvalues(d, e):
+    """All eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: Sturm counts with a certified Newton finish.
+
+    Each value lies within half a width of lambda_j, where the width is that
+    of a Sturm bracket [a, b] of lambda_j, count(a) <= j - 1 < j <= count(b),
+    no wider than 1e-15 of the Gershgorin span or 4 ulps.  One sweep is one
+    `_sturm_count` call at about n points, spent in this order:
+
+    1. a Newton point x - 1/S(x) in each bracket that isolates its
+       eigenvalue (the midpoint when the step leaves the bracket or does not
+       halve the last one), and the probe pair x -+ delta of each converged
+       iterate x, delta = max(2 ulps, 0.5e-15 span): count(x - delta) <=
+       j - 1 and count(x + delta) >= j certify x, other counts send its
+       bracket back to multisection;
+    2. multisection of the other distinct brackets and of those whose
+       Newton steps shrink slowly, each with at least _MIN_SECTION points and
+       a share of the rest by its number of eigenvalues.
+
+    Sources: multisection, Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput.
+    8 (1987); root finders kept safe by Sturm counts, Li & Zeng, SIAM J.
+    Sci. Comput. 15 (1994).  Raises LinAlgError if _MAX_SWEEPS sweeps leave
+    a bracket open.
+    """
     n = d.shape[0]
     if n == 0:
         return np.zeros(0)
@@ -178,22 +238,84 @@ def tridiag_eigenvalues(d, e):
     if n > 1:
         r[:-1] += np.abs(e)
         r[1:] += np.abs(e)
-    lo = float(np.min(d - r))
-    hi = float(np.max(d + r))
-    span = max(hi - lo, 1.0)
-    los = np.full(n, lo)
-    his = np.full(n, hi)
-    target = np.arange(1, n + 1)
-    for _ in range(100):
-        mid = 0.5 * (los + his)
-        cnt = _sturm_count(d, e2, mid)
-        below = cnt < target
-        los = np.where(below, mid, los)
-        his = np.where(below, his, mid)
-        # stop when every bracket is below 1e-15 of the span or within 4
-        # ulps: far from 0 the ulp can exceed 1e-15 of the span
-        width = his - los
-        ulp = np.spacing(np.maximum(np.abs(los), np.abs(his)))
-        if np.all((width < 1e-15 * span) | (width <= 4.0 * ulp)):
-            break
-    return 0.5 * (los + his)
+    lo0 = float(np.min(d - r))
+    hi0 = float(np.max(d + r))
+    tol = 1e-15 * max(hi0 - lo0, 1.0)
+    j = np.arange(n)                # count(lo[j]) <= j < count(hi[j])
+    lo, hi = np.full(n, lo0), np.full(n, hi0)
+    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n)
+    x = np.full(n, np.nan)          # next Newton point; nan: the midpoint
+    step = np.full(n, np.inf)       # the Newton step that gave x
+    probe = np.zeros(n, dtype=bool)     # x has converged: probe it
+    stall = np.zeros(n, dtype=bool)     # slow Newton steps: multisect too
+    newton = np.ones(n, dtype=bool)     # false once a probe has failed
+    done = np.zeros(n, dtype=bool)
+    for sweep in range(_MAX_SWEEPS + 1):
+        done |= hi - lo <= np.maximum(
+            tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+        if done.all():
+            return np.sort(0.5 * (lo + hi))
+        if sweep == _MAX_SWEEPS:
+            raise np.linalg.LinAlgError(
+                f"Sturm counts left a bracket open after {sweep} sweeps")
+        iso = ~done & newton & (clo == j) & (chi == j + 1)
+        nw = np.flatnonzero(iso & ~probe)
+        pr = np.flatnonzero(iso & probe)
+        ms = np.flatnonzero(~done & ~iso)
+        xn = x[nw]
+        xn = np.where((xn > lo[nw]) & (xn < hi[nw]), xn,
+                      0.5 * (lo[nw] + hi[nw]))
+        xp = x[pr]
+        delta = np.maximum(2.0 * np.spacing(np.abs(xp)), 0.5 * tol)
+        pa = np.clip(xp - delta, lo[pr], hi[pr])
+        pb = np.clip(xp + delta, lo[pr], hi[pr])
+        # identical brackets share their points; sb holds one eigenvalue of
+        # each bracket to multisect, cb its number of eigenvalues
+        _, first, which, cb = np.unique(
+            np.stack([lo[ms], hi[ms]], axis=1), axis=0, return_index=True,
+            return_inverse=True, return_counts=True)
+        slow = nw[stall[nw]]
+        sb = np.concatenate([ms[first], slow])
+        cb = np.concatenate([cb, np.ones(slow.size, dtype=cb.dtype)])
+        rest = max(n - nw.size - 2 * pr.size, 0)
+        npt = np.maximum(_MIN_SECTION, rest * cb // max(ms.size + slow.size, 1))
+        seg = np.repeat(np.arange(sb.size), npt)
+        k = np.arange(seg.size) - np.repeat(np.cumsum(npt) - npt, npt) + 1
+        grid = np.minimum(lo[sb][seg] + (hi[sb] - lo[sb])[seg]
+                          * (k / (npt[seg] + 1)), hi[sb][seg])
+        xs = np.concatenate([xn, pa, pb, grid])
+        cnt, s = _sturm_count(d, e2, xs, nw.size)
+        # each open bracket is a run [lo, its points in order, hi], keyed by
+        # one of its eigenvalues; the first entry whose count passes j (by a
+        # running maximum, so counts need not be monotone) closes lambda_j's
+        ends = np.concatenate([nw, pr, ms[first]])
+        sid = np.concatenate([ends, nw, pr, pr, sb[seg], ends])
+        px = np.concatenate([lo[ends], xs, hi[ends]])
+        pc = np.concatenate([clo[ends], cnt, chi[ends]])
+        cls = np.repeat([0, 1, 2], [ends.size, xs.size, ends.size])
+        order = np.lexsort((cls, px, sid))
+        px, pc = px[order], pc[order]
+        key = np.maximum.accumulate(sid[order] * (n + 1) + pc)
+        op = np.concatenate([nw, pr, ms])
+        own = np.concatenate([nw, pr, ms[first][which.reshape(-1)]])
+        g = np.searchsorted(key, own * (n + 1) + j[op], side="right")
+        lo[op], clo[op], hi[op], chi[op] = px[g - 1], pc[g - 1], px[g], pc[g]
+        # x - 1/S is the next Newton point if it stays inside and at least
+        # halves the step; it has converged if the step, or the error
+        # predicted from the last two steps, is below the certificate width
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nx = xn - 1.0 / s
+            ns = np.abs(nx - xn)
+            width = np.maximum(tol, 4.0 * np.spacing(np.abs(xn)))
+            conv = (ns <= width) | ((ns ** 3 <= 0.1 * width * step[nw] ** 2)
+                                    & (step[nw] < np.inf))
+        ok = conv | ((nx > lo[nw]) & (nx < hi[nw]) & (ns <= 0.5 * step[nw]))
+        stall[nw] = ~ok | (ns > _STALL * step[nw])
+        x[nw] = np.where(ok, nx, np.nan)
+        step[nw] = np.where(ok, ns, np.inf)
+        probe[nw] = conv
+        cp = cnt[nw.size:nw.size + 2 * pr.size].reshape(2, -1)
+        cert = (cp[0] <= j[pr]) & (cp[1] > j[pr])
+        done[pr] |= cert
+        newton[pr] = cert
+        probe[pr] = False

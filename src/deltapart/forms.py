@@ -374,15 +374,26 @@ def rayleigh(df: DiscreteForm, f: np.ndarray) -> float:
     return float(np.real(np.vdot(f, df.A @ f))) / denom
 
 
-FAMILIES = ("deformation_fn", "wedge_psi_np")
+# the params keys each family reads
+_FAMILY_KEYS = {
+    "deformation_fn": {"n", "alpha"},
+    "wedge_psi_np": {"layout", "n", "p", "beta", "center", "angle", "upper",
+                     "ray_length"},
+}
+FAMILIES = tuple(_FAMILY_KEYS)
 
 
 def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     """Nodal interpolation of an analytic family. deformation_fn returns one
     value per node, bump(x / n) exp(-alpha |y| / 2); wedge_psi_np returns a full broken complex vector for the
-    broken dof layout params["layout"] = (dof_node, dof_subdomain)."""
+    broken dof layout params["layout"] = (dof_node, dof_subdomain).  A key
+    of params that the family does not read raises ValueError."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    unknown = set(params) - _FAMILY_KEYS[family]
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(map(str, unknown))} "
+                         f"for family {family!r}")
     x = m.nodes[:, 0]
     y = m.nodes[:, 1]
     R = m.box_radius

@@ -186,6 +186,14 @@ def test_sample_test_function_errors():
     with pytest.raises(ValueError, match="support"):
         forms.sample_test_function(m, "deformation_fn",
                                    {"alpha": 1.0, "n": 50.0})
+    # a misspelt key and the retired deformation_fn center are named
+    for extra in ({"cneter": 2.0}, {"center": 1.5}):
+        key = next(iter(extra))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            forms.sample_test_function(m, "deformation_fn",
+                                       {"n": 1.0, "alpha": 1.0, **extra})
+    with pytest.raises(ValueError, match="'cneter'"):
+        forms.sample_test_function(m, "wedge_psi_np", {"n": 1.0, "cneter": 2.0})
 
 
 def test_export_matrix_roundtrip():

@@ -154,6 +154,21 @@ def test_sturm_count_against_scalar_loop():
     assert kernels._sturm_count(d, e2, d[0]).tolist() == [ref[40]]
 
 
+def test_sturm_count_across_row_blocks():
+    """Counts and Newton sums over more rows than one block of pivot signs,
+    against the scalar loop and the eigenvalues."""
+    n = 2 * kernels._COUNT_ROWS + 5
+    d, e = _random_tridiagonal(n, 11)
+    e[kernels._COUNT_ROWS - 1] = 0.0                 # a split at the seam
+    e2 = e * e
+    xs = np.random.default_rng(12).uniform(-4.0, 4.0, 30)
+    cnt, s = kernels._sturm_count(d, e2, xs, 10)
+    assert np.array_equal(cnt, [_sturm_count_reference(d, e2, x) for x in xs])
+    lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    ref = np.sum(1.0 / (xs[:10, None] - lam[None, :]), axis=1)
+    assert np.allclose(s, ref, rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.parametrize("shift", [1e3, 1e6])
 def test_bisection_stops_at_ulp_scale_on_shifted_spectra(shift, monkeypatch):
     """Far from 0 the ulp of the eigenvalues exceeds 1e-15 of their spread;
@@ -177,3 +192,95 @@ def test_bisection_stops_at_ulp_scale_on_shifted_spectra(shift, monkeypatch):
     assert len(calls) <= unshifted
     ref = np.linalg.eigvalsh(np.diag(d + shift) + np.diag(e, 1) + np.diag(e, -1))
     assert np.max(np.abs(ev - ref)) <= 64 * np.spacing(shift)
+
+
+# -- Sturm counts with a certified Newton finish ------------------------------
+
+def _wilkinson(m):
+    """W_m^+: diagonal |(m-1)/2 - i|, unit couplings; its largest eigenvalues
+    come in pairs closer than 1e-13."""
+    k = (m - 1) // 2
+    return np.abs(np.arange(-k, k + 1)).astype(float), np.ones(m - 1)
+
+
+def _glued_wilkinson(copies, glue):
+    d, e = _wilkinson(21)
+    return (np.tile(d, copies),
+            np.concatenate([np.append(e, glue)] * copies)[:-1])
+
+
+def _split_doubles():
+    m = NB + 3
+    e = np.full(2 * m - 1, -1.0)
+    e[m - 1] = 0.0
+    return np.full(2 * m, 2.0), e
+
+
+def _random_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n), rng.standard_normal(max(n - 1, 0))
+
+
+_TRIDIAGONALS = {
+    "wilkinson21": _wilkinson(21),
+    "wilkinson101": _wilkinson(101),
+    "glued_wilkinson21x10": _glued_wilkinson(10, 1e-10),
+    "split_doubles": _split_doubles(),
+    **{f"random{n}": _random_tridiagonal(n, 20 + n)
+       for n in (1, 2, 3, NB - 1, NB, NB + 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIDIAGONALS))
+def test_tridiag_eigenvalues_certified_by_sturm_counts(name):
+    """Each value has its own Sturm bracket: lambda_j lies within
+    max(4 ulps, 1e-15 span) of it by the counts, and it matches eigvalsh."""
+    d, e = _TRIDIAGONALS[name]
+    n = d.size
+    ev = kernels.tridiag_eigenvalues(d, e)
+    assert ev.shape == (n,) and np.all(np.diff(ev) >= 0.0)
+    r = np.zeros(n)
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    span = max(float(np.max(d + r) - np.min(d - r)), 1.0)
+    w = np.maximum(1e-15 * span, 4.0 * np.spacing(np.abs(ev)))
+    e2 = e * e
+    assert np.all(kernels._sturm_count(d, e2, ev - w) <= np.arange(n))
+    assert np.all(kernels._sturm_count(d, e2, ev + w) >= np.arange(1, n + 1))
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    _assert_same_spectrum(ev, np.linalg.eigvalsh(T))
+
+
+def test_tridiag_eigenvalues_sweep_count(monkeypatch):
+    """A random n = 400 tridiagonal takes at most 25 sweeps; bisection to
+    1e-15 of the span took about 50."""
+    d, e = _random_tridiagonal(400, 9)
+    calls = []
+    count = kernels._sturm_count
+
+    def counted(*args):
+        calls.append(1)
+        return count(*args)
+
+    monkeypatch.setattr(kernels, "_sturm_count", counted)
+    kernels.tridiag_eigenvalues(d, e)
+    assert len(calls) <= 25
+
+
+def test_tridiag_eigenvalues_raises_at_the_sweep_cap():
+    """A nan never gets a bracket; the sweeps end in an error, not in
+    unbracketed midpoints."""
+    d, e = _random_tridiagonal(10, 4)
+    d[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="sweeps"):
+        kernels.tridiag_eigenvalues(d, e)
+
+
+@pytest.mark.parametrize("which", ["A", "M"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_oracle_rejects_non_finite_entries(which, bad):
+    from deltapart import eigen
+    mats = {"A": _random_symmetric(6, 1), "M": 6.0 * np.eye(6)}
+    mats[which][2, 2] = bad
+    with pytest.raises(ValueError, match=f"{which} has non-finite"):
+        eigen.dense_eigen_oracle(mats["A"], mats["M"])

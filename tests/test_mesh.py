@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ def test_triangle_areas_tile_box(name):
     assert float(areas.sum()) == pytest.approx((2 * m.box_radius) ** 2,
                                                rel=1e-12)
     assert float(areas.min()) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_partitions(), st.integers(0, 2))
+def test_triangle_areas_tile_random_partitions(p, levels):
+    """Each subdomain's triangles tile its polygons, and all of them the
+    box, on random convex islands and bumps."""
+    m = mesh.triangulate(p, levels)
+    v = m.nodes[m.triangles]
+    u, w = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    areas = 0.5 * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    assert float(areas.min()) > 0.0
+    for sub in p.subdomains:
+        want = sum(geometry._loop_area(p.vertices, loop) for loop in sub.loops)
+        got = math.fsum(areas[m.tri_subdomain == sub.id])
+        assert got == pytest.approx(want, rel=1e-12)
+    assert math.fsum(areas) == pytest.approx((2 * p.box_radius) ** 2,
+                                             rel=1e-12)
 
 
 def test_outer_boundary_nodes_on_box():
