@@ -21,9 +21,8 @@ def p1_elements(nodes: np.ndarray, tris: np.ndarray):
     Returns (stiff, mass, area): stiff and mass have shape (ntri, 9) in
     row-major (local i, local j) order, area has shape (ntri,).
     """
-    p = nodes[tris]                       # (m, 3, 2)
-    x = p[:, :, 0]
-    y = p[:, :, 1]
+    x = nodes[:, 0][tris]                 # (m, 3), one gather per coordinate
+    y = nodes[:, 1][tris]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])

@@ -242,14 +242,16 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
 # essential-spectrum thresholds on growing boxes
 # ---------------------------------------------------------------------------
 
-def _broken_rayleigh_local(m: mesh.Mesh, d: geometry.InteractionData,
-                           layout, f: np.ndarray) -> float:
+def _broken_rayleigh_local(m: mesh.Mesh, tri_dofs: np.ndarray, jump,
+                           f: np.ndarray) -> float:
     """Broken-form Rayleigh quotient of a full broken vector, assembled only
     over elements meeting the support of f (identical to the value on the
-    fully assembled Neumann form)."""
-    sub_node_dof = layout[2]
-    tri_dofs = forms.broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles)
-    active = (np.abs(f) > 0.0)[tri_dofs].any(axis=1)
+    fully assembled Neumann form).  tri_dofs are the broken dofs of every
+    triangle (`forms.broken_dofs`) and jump the (dofs, local matrices) of
+    `forms.jump_coupling`; neither depends on f, so a caller with several
+    vectors builds them once."""
+    nz = np.abs(f) > 0.0
+    active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
     tl = tri_dofs[active]
     stiff, mass, _ = _kernels.p1_elements(
         np.ascontiguousarray(m.nodes), np.ascontiguousarray(m.triangles[active]))
@@ -258,7 +260,7 @@ def _broken_rayleigh_local(m: mesh.Mesh, d: geometry.InteractionData,
     Mm = np.asarray(mass).reshape(-1, 3, 3)
     num = float(np.real(np.einsum("ti,tij,tj->", np.conj(v), S, v)))
     den = float(np.real(np.einsum("ti,tij,tj->", np.conj(v), Mm, v)))
-    jd, jl = forms.jump_coupling(m, d.beta, sub_node_dof)
+    jd, jl = jump
     vj = f[jd]
     num += float(np.real(np.einsum("qi,qij,qj->", np.conj(vj), jl, vj)))
     if den <= 0.0:
@@ -318,6 +320,8 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         p, m = mesh.canonical_mesh("wedge", {"phi": wedge_phi}, R, wedge_levels)
         d = geometry.InteractionData.uniform(p, 0.0, beta)
         layout = forms.broken_dof_layout(m)
+        tri_dofs = forms.broken_dofs(layout[2], m.tri_subdomain, m.triangles)
+        jump = forms.jump_coupling(m, d.beta, layout[2])
         quotients = []
         for n in n_list:
             psi = forms.sample_test_function(m, "wedge_psi_np", {
@@ -326,7 +330,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
                 "angle": np.pi / 2.0 - wedge_phi / 2.0, "upper": 1,
                 "ray_length": R,
             })
-            quotients.append(_broken_rayleigh_local(m, d, layout, psi))
+            quotients.append(_broken_rayleigh_local(m, tri_dofs, jump, psi))
         rep.quantities.update({"target": target, "n_list": list(n_list),
                                "rayleigh_quotients": quotients})
         for i in range(1, len(quotients)):

@@ -231,7 +231,9 @@ def assemble_delta(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> Discre
 
 
 def broken_dof_layout(m: Mesh):
-    """Full broken layout: dofs blocked by subdomain id, nodes sorted within.
+    """Full broken layout: dofs blocked by subdomain id, nodes sorted within
+    (the nodes of a subdomain's triangles, marked and read back in order,
+    which is np.unique of those triangles in linear time).
 
     Returns (dof_node, dof_subdomain, sub_node_dof) where sub_node_dof maps
     subdomain id -> array of length n_nodes with dof index or -1."""
@@ -240,7 +242,9 @@ def broken_dof_layout(m: Mesh):
     sub_node_dof: Dict[int, np.ndarray] = {}
     offset = 0
     for sid in (int(s) for s in m.subdomain_ids()):
-        nodes = np.unique(m.triangles[m.tri_subdomain == sid])
+        on = np.zeros(m.n_nodes, dtype=bool)
+        on[m.triangles[m.tri_subdomain == sid]] = True
+        nodes = np.flatnonzero(on)
         lut = np.full(m.n_nodes, -1, dtype=np.int64)
         lut[nodes] = offset + np.arange(nodes.size)
         sub_node_dof[sid] = lut
@@ -254,11 +258,12 @@ def broken_dofs(sub_node_dof, sids: np.ndarray, nodes: np.ndarray) -> np.ndarray
     """Broken dofs of nodes in the given subdomains, for the sub_node_dof
     of `broken_dof_layout`; sids has the shape of nodes or of its leading
     axis (one subdomain per row, e.g. per triangle)."""
-    out = np.empty(nodes.shape, dtype=np.int64)
-    for sid, lut in sub_node_dof.items():
-        mask = sids == sid
-        out[mask] = lut[nodes[mask]]
-    return out
+    ids = np.fromiter(sub_node_dof, dtype=np.int64)
+    row = np.zeros(ids.max() + 1, dtype=np.int64)
+    row[ids] = np.arange(ids.size)
+    row = row[sids]
+    return np.stack(list(sub_node_dof.values()))[
+        row.reshape(row.shape + (1,) * (nodes.ndim - row.ndim)), nodes]
 
 
 def assemble_delta_prime(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> DiscreteForm:
@@ -357,8 +362,11 @@ def embed_continuous(bf: DiscreteForm, f: np.ndarray) -> np.ndarray:
 def apply_unitary(ph: PhaseAssignment, bf: DiscreteForm, f: np.ndarray) -> np.ndarray:
     if bf.space != "broken":
         raise ValueError("the phase unitary acts on broken vectors")
-    z = np.array([ph.z[int(s)] for s in bf.dof_subdomain])
-    return np.asarray(f, dtype=complex) * z
+    # one phase per subdomain id, looked up by the dofs' ids
+    sids = bf.mesh.subdomain_ids()
+    table = np.zeros(sids[-1] + 1, dtype=complex)
+    table[sids] = [ph.z[int(s)] for s in sids]
+    return np.asarray(f, dtype=complex) * table[bf.dof_subdomain]
 
 
 def form_value(df: DiscreteForm, f: np.ndarray) -> float:
@@ -449,6 +457,7 @@ def export_matrix(a: sp.spmatrix) -> str:
     """Coordinate text dump "i j value" (1-based, sorted by row then column)."""
     coo = a.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.row[q] + 1} {coo.col[q] + 1} {float(coo.data[q])!r}"
-             for q in order]
+    lines = [f"{i} {j} {v!r}" for i, j, v in
+             zip((coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(),
+                 coo.data[order].astype(float).tolist())]
     return "\n".join(lines) + "\n"

@@ -40,7 +40,8 @@ class Mesh:
         return self.triangles.shape[0]
 
     def subdomain_ids(self) -> np.ndarray:
-        return np.unique(self.tri_subdomain)
+        """Sorted ids of the subdomains that own triangles (ids are >= 0)."""
+        return np.flatnonzero(np.bincount(self.tri_subdomain))
 
 
 # ---------------------------------------------------------------------------
@@ -186,46 +187,23 @@ def _derive_interface_edges(p: Partition, nodes, triangles, tri_subdomain):
 # ---------------------------------------------------------------------------
 
 def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
-    tri = triangles
-    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]], axis=0)
-    pairs = np.sort(pairs, axis=1)
-    n = nodes.shape[0]
-    codes = pairs[:, 0] * n + pairs[:, 1]
+    """One uniform 4-way refinement, in the numbering `coarsen` inverts:
+    midpoints follow the nodes in sorted edge-code order, the children of
+    triangle t are rows 4t..4t+3 and interface edge q splits into rows 2q
+    and 2q+1."""
+    n, m = nodes.shape[0], triangles.shape[0]
+    a, b, c = triangles.T
+    u, v = np.concatenate([a, b, c]), np.concatenate([b, c, a])
+    codes = np.minimum(u, v) * n + np.maximum(u, v)
     uniq, inv = np.unique(codes, return_inverse=True)
-    ua = uniq // n
-    ub = uniq % n
-    mids = 0.5 * (nodes[ua] + nodes[ub])
-    new_nodes = np.vstack([nodes, mids])
-    mid_idx = n + np.arange(uniq.shape[0])
-    m = tri.shape[0]
-    mab = mid_idx[inv[0:m]]
-    mbc = mid_idx[inv[m:2 * m]]
-    mca = mid_idx[inv[2 * m:3 * m]]
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    children = np.concatenate([
-        np.stack([a, mab, mca], axis=1),
-        np.stack([mab, b, mbc], axis=1),
-        np.stack([mca, mbc, c], axis=1),
-        np.stack([mab, mbc, mca], axis=1),
-    ], axis=0)
-    child_sub = np.concatenate([tri_subdomain] * 4)
-    # reorder so the 4 children of triangle t are contiguous (determinism)
-    order = np.argsort(np.tile(np.arange(m), 4), kind="stable")
-    children = children[order]
-    child_sub = child_sub[order]
-    if iface_nodes.shape[0]:
-        ip = np.sort(iface_nodes, axis=1)
-        icodes = ip[:, 0] * n + ip[:, 1]
-        pos = np.searchsorted(uniq, icodes)
-        imid = mid_idx[pos]
-        left = np.stack([iface_nodes[:, 0], imid], axis=1)
-        right = np.stack([imid, iface_nodes[:, 1]], axis=1)
-        new_iface = np.concatenate([left, right], axis=0)
-        half_order = np.argsort(np.tile(np.arange(iface_nodes.shape[0]), 2), kind="stable")
-        new_iface = new_iface[half_order]
-    else:
-        new_iface = iface_nodes
-    return new_nodes, children, child_sub, new_iface
+    new_nodes = np.vstack([nodes, 0.5 * (nodes[uniq // n] + nodes[uniq % n])])
+    mab, mbc, mca = (n + inv).reshape(3, m)
+    children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                        axis=1).reshape(-1, 3)
+    ia, ib = iface_nodes.T
+    imid = n + np.searchsorted(uniq, np.minimum(ia, ib) * n + np.maximum(ia, ib))
+    new_iface = np.stack([ia, imid, imid, ib], axis=1).reshape(-1, 2)
+    return new_nodes, children, np.repeat(tri_subdomain, 4), new_iface
 
 
 def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
@@ -289,17 +267,18 @@ def canonical_mesh(name: str, params: dict | None, box_radius: float,
 
 
 def _check_mesh(p: Partition, m: Mesh) -> None:
-    pa = m.nodes[m.triangles[:, 0]]
-    pb = m.nodes[m.triangles[:, 1]]
-    pc = m.nodes[m.triangles[:, 2]]
-    areas = 0.5 * ((pb[:, 0] - pa[:, 0]) * (pc[:, 1] - pa[:, 1])
-                   - (pb[:, 1] - pa[:, 1]) * (pc[:, 0] - pa[:, 0]))
+    px = m.nodes[:, 0][m.triangles]
+    py = m.nodes[:, 1][m.triangles]
+    areas = 0.5 * ((px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0])
+                   - (py[:, 1] - py[:, 0]) * (px[:, 2] - px[:, 0]))
     if not np.all(areas > 0):
         raise AssertionError("mesh contains non-positive triangle areas")
     # triangles tile each subdomain
+    sub_area = np.bincount(m.tri_subdomain, weights=areas,
+                           minlength=max(sub.id for sub in p.subdomains) + 1)
     for sub in p.subdomains:
         target = sum(_loop_area(p.vertices, loop) for loop in sub.loops)
-        got = float(np.sum(areas[m.tri_subdomain == sub.id]))
+        got = float(sub_area[sub.id])
         if abs(got - target) > 1e-9 * target:
             raise AssertionError(f"subdomain {sub.id} area mismatch: {got} vs {target}")
     # interface edge lengths add up per interface
@@ -343,14 +322,10 @@ def reflect_split(m: Mesh, axis: float, f: np.ndarray):
 def export_mesh(m: Mesh) -> str:
     """Plain-text dump: "v x y", "t i j k domain", "e i j interface k l"
     (1-based node indices)."""
-    lines = []
-    for x, y in m.nodes:
-        lines.append(f"v {float(x)!r} {float(y)!r}")
-    for t in range(m.n_triangles):
-        a, b, c = m.triangles[t] + 1
-        lines.append(f"t {a} {b} {c} {m.tri_subdomain[t]}")
-    for q in range(m.iface_edge_nodes.shape[0]):
-        i, j = m.iface_edge_nodes[q] + 1
-        k, l = m.iface_edge_kl[q]
-        lines.append(f"e {i} {j} {m.iface_edge_id[q]} {k} {l}")
+    lines = [f"v {x!r} {y!r}" for x, y in m.nodes.tolist()]
+    lines += [f"t {a} {b} {c} {s}" for (a, b, c), s in
+              zip((m.triangles + 1).tolist(), m.tri_subdomain.tolist())]
+    lines += [f"e {i} {j} {e} {k} {l}" for (i, j), e, (k, l) in
+              zip((m.iface_edge_nodes + 1).tolist(), m.iface_edge_id.tolist(),
+                  m.iface_edge_kl.tolist())]
     return "\n".join(lines) + "\n"

@@ -232,9 +232,42 @@ def test_jump_coupling_against_edge_loop():
         expect -= jump @ E @ jump / beta[int(m.iface_edge_id[q])]
     got = forms.form_value(bf, f) - forms.form_value(stiff, f)
     assert got == pytest.approx(expect, rel=1e-12)
-    local = experiments._broken_rayleigh_local(m, d, forms.broken_dof_layout(m), f)
+    local = experiments._broken_rayleigh_local(
+        m, forms.broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles),
+        forms.jump_coupling(m, d.beta, sub_node_dof), f)
     assert local == pytest.approx(forms.rayleigh(bf, f), rel=1e-12)
 
+
+
+def test_export_matrix_matches_per_entry_format():
+    """The text is byte for byte the per-entry formatting of the sorted
+    entries, on the delta' matrix of a level-1 mesh."""
+    _, m, d = _setup("star3", 1)
+    A = forms.assemble_delta_prime(m, d, "neumann").A
+    coo = A.tocoo()
+    lines = [f"{coo.row[q] + 1} {coo.col[q] + 1} {float(coo.data[q])!r}"
+             for q in np.lexsort((coo.col, coo.row))]
+    assert forms.export_matrix(A) == "\n".join(lines) + "\n"
+
+
+def test_wedge_local_quotient_of_complex_vector():
+    """The local Rayleigh quotient of a wedge test function with momentum
+    p != 0 (a complex vector) equals the quotient on the fully assembled
+    broken Neumann form."""
+    phi, beta, R, n = 3.0 * np.pi / 4.0, 2.0, 40.0, 4.0
+    p, m = mesh.canonical_mesh("wedge", {"phi": phi}, R, 5)
+    d = geometry.InteractionData.uniform(p, 0.0, beta)
+    bf = forms.assemble_delta_prime(m, d, "neumann")
+    dof_node, dof_sub, sub_node_dof = forms.broken_dof_layout(m)
+    psi = forms.sample_test_function(m, "wedge_psi_np", {
+        "layout": (dof_node, dof_sub), "n": n, "p": 0.7, "beta": beta,
+        "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0,
+        "upper": 1, "ray_length": R})
+    assert np.max(np.abs(psi.imag)) > 0.1
+    local = experiments._broken_rayleigh_local(
+        m, forms.broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles),
+        forms.jump_coupling(m, d.beta, sub_node_dof), psi)
+    assert local == pytest.approx(forms.rayleigh(bf, psi), rel=1e-12)
 
 def test_subdomain_robin_zero_gamma_is_stiffness():
     """gamma = 0 leaves the Neumann stiffness of the subdomain, whose

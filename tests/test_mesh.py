@@ -229,3 +229,106 @@ def test_coarsen_level_zero():
     _, m = _mesh("star3", 0)
     with pytest.raises(ValueError, match="level-0"):
         mesh.coarsen(m)
+
+
+def test_export_mesh_matches_per_entry_format():
+    """The text is byte for byte the per-entry formatting of every node,
+    triangle and interface edge."""
+    _, m = _mesh("star3", 1)
+    lines = [f"v {float(x)!r} {float(y)!r}" for x, y in m.nodes]
+    for t in range(m.n_triangles):
+        a, b, c = m.triangles[t] + 1
+        lines.append(f"t {a} {b} {c} {m.tri_subdomain[t]}")
+    for q in range(m.iface_edge_nodes.shape[0]):
+        i, j = m.iface_edge_nodes[q] + 1
+        k, l = m.iface_edge_kl[q]
+        lines.append(f"e {i} {j} {m.iface_edge_id[q]} {k} {l}")
+    assert mesh.export_mesh(m) == "\n".join(lines) + "\n"
+
+
+def _refine_reference(nodes, triangles, tri_subdomain, iface_nodes):
+    """Per-triangle uniform refinement: midpoints numbered after the nodes
+    by sorted edge (a < b, i.e. by code a * n + b), children of triangle t
+    in rows 4t..4t+3 as the `coarsen` docstring gives them, interface edge
+    q split into rows 2q (a, mid) and 2q+1 (mid, b)."""
+    n = nodes.shape[0]
+    edges = sorted({(min(u, v), max(u, v)) for a, b, c in triangles.tolist()
+                    for u, v in ((a, b), (b, c), (c, a))})
+    mid = {e: n + i for i, e in enumerate(edges)}
+
+    def m(u, v):
+        return mid[min(u, v), max(u, v)]
+
+    new_nodes = np.array(list(nodes) + [0.5 * (nodes[a] + nodes[b])
+                                        for a, b in edges])
+    children, child_sub = [], []
+    for (a, b, c), s in zip(triangles.tolist(), tri_subdomain.tolist()):
+        mab, mbc, mca = m(a, b), m(b, c), m(c, a)
+        children += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        child_sub += [s] * 4
+    halves = []
+    for a, b in iface_nodes.tolist():
+        halves += [(a, m(a, b)), (m(a, b), b)]
+    return (new_nodes, np.array(children, dtype=np.int64),
+            np.array(child_sub, dtype=np.int64),
+            np.array(halves, dtype=np.int64).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("name", geometry.CANONICAL_NAMES)
+def test_refine_once_matches_per_triangle_reference(name):
+    p = geometry.build_canonical_partition(name, {"box_radius": 4.0})
+    for level in range(3):
+        m = mesh.triangulate(p, level)
+        args = (m.nodes, m.triangles, m.tri_subdomain, m.iface_edge_nodes)
+        got = mesh._refine_once(*args)
+        want = _refine_reference(*args)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+def _layout_reference(m):
+    """Broken layout by its definition: subdomains in np.unique order, the
+    np.unique nodes of each subdomain's triangles, dofs numbered in turn."""
+    dof_node, dof_sub, sub_node_dof = [], [], {}
+    for sid in np.unique(m.tri_subdomain).tolist():
+        nodes = np.unique(m.triangles[m.tri_subdomain == sid])
+        lut = np.full(m.n_nodes, -1, dtype=np.int64)
+        lut[nodes] = sum(map(len, dof_node)) + np.arange(nodes.size)
+        sub_node_dof[sid] = lut
+        dof_node.append(nodes)
+        dof_sub.append(np.full(nodes.size, sid, dtype=np.int64))
+    return np.concatenate(dof_node), np.concatenate(dof_sub), sub_node_dof
+
+
+def _check_layout(m):
+    assert np.array_equal(m.subdomain_ids(), np.unique(m.tri_subdomain))
+    got, want = forms.broken_dof_layout(m), _layout_reference(m)
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert list(got[2]) == list(want[2])
+    for sid, lut in want[2].items():
+        assert np.array_equal(got[2][sid], lut)
+    # per triangle, and per interface edge with one subdomain per entry
+    tri_dofs = forms.broken_dofs(got[2], m.tri_subdomain, m.triangles)
+    assert tri_dofs.dtype == np.int64
+    assert tri_dofs.tolist() == [[want[2][s][v] for v in tri] for tri, s in
+                                 zip(m.triangles.tolist(), m.tri_subdomain.tolist())]
+    kl = np.repeat(m.iface_edge_kl, 2, axis=1)
+    ab = np.tile(m.iface_edge_nodes, (1, 2))
+    assert forms.broken_dofs(got[2], kl, ab).tolist() == [
+        [want[2][s][v] for s, v in zip(ks, vs)]
+        for ks, vs in zip(kl.tolist(), ab.tolist())]
+
+
+@pytest.mark.parametrize("name", geometry.CANONICAL_NAMES)
+def test_broken_layout_matches_unique_definition(name):
+    p = geometry.build_canonical_partition(name, {"box_radius": 4.0})
+    for level in range(3):
+        _check_layout(mesh.triangulate(p, level))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_random_partitions(), st.integers(0, 2))
+def test_broken_layout_matches_unique_definition_random(p, levels):
+    _check_layout(mesh.triangulate(p, levels))
