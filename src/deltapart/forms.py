@@ -87,25 +87,25 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
-def _coo_pattern(dofs: np.ndarray):
-    """COO (rows, cols) of one dense local matrix per row of dofs, local
+def _local_keys(dofs: np.ndarray, n: int) -> np.ndarray:
+    """Keys row*n + col of one dense local matrix per row of dofs, local
     matrix by local matrix, each in row-major (i, j) order."""
-    r = dofs.shape[1]
-    return np.repeat(dofs, r, axis=1).reshape(-1), np.tile(dofs, (1, r)).reshape(-1)
+    return (dofs[:, :, None] * n + dofs[:, None, :]).reshape(-1)
 
 
-def _accumulate_csr(rows, cols, vals, n):
-    """COO -> CSR with duplicates summed in emission order (stable lexsort),
-    so matching (i, j)/(j, i) entry streams sum to bitwise-equal values."""
-    rows = np.concatenate([np.asarray(r, dtype=np.int64).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c, dtype=np.int64).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v, dtype=float).ravel() for v in vals])
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    first = np.flatnonzero(np.concatenate(
-        [[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])]))
-    sums = np.add.reduceat(v, first)
-    return sp.csr_matrix((sums, (r[first], c[first])), shape=(n, n))
+def _csr_from_runs(key, vals, n):
+    """n x n CSR of the sums of vals over the runs of the sorted keys
+    row*(n + 1) + col; runs in row n or column n are dropped.  Each run is
+    summed in the order given, so the (i, j) and (j, i) runs of symmetric
+    local matrices sum to bitwise-equal values (Davis 2006, ch. 2)."""
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    sums = np.add.reduceat(vals, first)
+    row, col = np.divmod(key[first], n + 1)
+    kept = (row < n) & (col < n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[kept], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((sums[kept], col[kept].astype(np.int32), indptr),
+                         shape=(n, n))
 
 
 # P1 edge mass of an edge (a, b) is length/6 * _EDGE_MASS; the trace jump
@@ -200,11 +200,6 @@ def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node)
     n = dof_node.size
     stiff, mass, _ = _kernels.p1_elements(np.ascontiguousarray(m.nodes),
                                           np.ascontiguousarray(tris))
-    er, ec = _coo_pattern(tri_dofs)
-    jr, jc = _coo_pattern(edge_dofs)
-    jv = edge_local.reshape(-1)
-    A = _accumulate_csr([er, jr], [ec, jc], [stiff, jv], n)
-    M = _accumulate_csr([er], [ec], [mass], n)
     bound = _patch_bound(n, tri_dofs, stiff, mass, edge_dofs, edge_local)
     outer = np.zeros(m.n_nodes, dtype=bool)
     if bc == "dirichlet":
@@ -212,8 +207,26 @@ def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node)
     keep = np.flatnonzero(~outer[dof_node])
     full_to_red = np.full(n, -1, dtype=np.int64)
     full_to_red[keep] = np.arange(keep.size)
-    A = A.tocsr()[keep][:, keep]
-    M = M.tocsr()[keep][:, keep]
+    # one stable sort of the entry keys, element entries then coupling
+    # entries in emission order, serves A and, restricted to the element
+    # entries, M; removed dofs become row and column nk, dropped once
+    # summed.  Each value stream is gathered into sorted order and its
+    # source freed at once, since these transients, not A and M, set the
+    # peak memory of an assembly.
+    nk = keep.size
+    red = np.where(full_to_red >= 0, full_to_red, nk)
+    key = np.concatenate([_local_keys(red[tri_dofs], nk + 1),
+                          _local_keys(red[edge_dofs], nk + 1)])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    elem = order < stiff.size
+    vals = np.concatenate([stiff.ravel(), edge_local.ravel()])[order]
+    del stiff
+    mass = mass.ravel()[order[elem]]
+    del order
+    A = _csr_from_runs(key, vals, nk)
+    del vals
+    M = _csr_from_runs(key[elem], mass, nk)
     return A, M, full_to_red, keep, bound
 
 
@@ -289,7 +302,9 @@ def assemble_subdomain_robin(m: Mesh, k: int, gamma: float,
     if not np.any(mask):
         raise ValueError(f"no triangles in subdomain {k}")
     tris = m.triangles[mask]
-    nodes = np.unique(tris)
+    on = np.zeros(m.n_nodes, dtype=bool)
+    on[tris] = True
+    nodes = np.flatnonzero(on)
     lut = np.full(m.n_nodes, -1, dtype=np.int64)
     lut[nodes] = np.arange(nodes.size)
     on_k = np.any(m.iface_edge_kl == k, axis=1)

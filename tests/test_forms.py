@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,88 @@ def test_subdomain_robin_zero_gamma_is_stiffness():
     robin = forms.assemble_subdomain_robin(m, 1, 0.5, "neumann")
     assert robin.coercivity_bound < 0.0
     assert (robin.A - df.A).nnz > 0
+
+
+# -- assembly by one stable sort of the entry keys -------------------------
+
+def _reference_forms(m, tri_dofs, edge_dofs, edge_local, dof_node, bc):
+    """A and M as dicts (i, j) -> value, summed entry by entry in a loop
+    over the triangles and edges, reduced to the kept dofs."""
+    stiff, mass, _ = _kernels.p1_elements(m.nodes, m.triangles)
+    A, M = {}, {}
+    for t, dofs in enumerate(tri_dofs):
+        for i in range(3):
+            for j in range(3):
+                key = (int(dofs[i]), int(dofs[j]))
+                A.setdefault(key, []).append(stiff[t, 3 * i + j])
+                M.setdefault(key, []).append(mass[t, 3 * i + j])
+    for e, dofs in enumerate(edge_dofs):
+        for i in range(dofs.size):
+            for j in range(dofs.size):
+                A.setdefault((int(dofs[i]), int(dofs[j])), []).append(edge_local[e, i, j])
+    outer = set(m.outer_boundary_nodes.tolist()) if bc == "dirichlet" else set()
+    keep = [q for q in range(dof_node.size) if int(dof_node[q]) not in outer]
+    red = {q: r for r, q in enumerate(keep)}
+    return [{(red[i], red[j]): math.fsum(v) for (i, j), v in X.items()
+             if i in red and j in red} for X in (A, M)], len(keep)
+
+
+def _check_against_reference(got, want, n):
+    assert got.shape == (n, n)
+    assert got.indices.dtype == np.int32 and got.has_sorted_indices
+    coo = got.tocoo()
+    entries = {(int(i), int(j)): v for i, j, v in zip(coo.row, coo.col, coo.data)}
+    assert entries.keys() == want.keys()
+    scale = max(abs(v) for v in want.values())
+    assert all(abs(entries[k] - v) <= 1e-14 * scale for k, v in want.items())
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n", [None, 50_000])
+def test_assembly_against_dict_reference(bc, n):
+    """_assemble against a per-entry dict sum, with the mesh's own node
+    numbering (n None) and with the nodes spread over 50,000 dofs in
+    reverse order, so that the keys row*(nk+1) + col pass 2**31; the
+    unused dofs sit on an interior node and give empty rows."""
+    _, m, _ = _setup("star3", 1)
+    n_nodes = m.n_nodes
+    if n is None:
+        n, node_dof = n_nodes, np.arange(n_nodes)
+    else:
+        node_dof = n - 1 - 37 * np.arange(n_nodes)
+    interior = np.setdiff1d(np.arange(n_nodes), m.outer_boundary_nodes)[0]
+    dof_node = np.full(n, interior)
+    dof_node[node_dof] = np.arange(n_nodes)
+    weight = 0.5 + np.arange(m.iface_edge_nodes.shape[0]) % 3
+    jd, jl = forms._edge_coupling(node_dof[m.iface_edge_nodes], weight,
+                                  m.iface_edge_length, forms._EDGE_MASS)
+    tri_dofs = node_dof[m.triangles]
+    A, M, full_to_red, keep, _ = forms._assemble(m, bc, m.triangles, tri_dofs,
+                                                 jd, jl, dof_node)
+    (want_a, want_m), nk = _reference_forms(m, tri_dofs, jd, jl, dof_node, bc)
+    assert keep.size == nk and np.array_equal(full_to_red[keep], np.arange(nk))
+    rows = np.repeat(np.arange(nk, dtype=np.int64), np.diff(A.indptr))
+    assert (rows * (nk + 1) + A.indices).max() > 2 ** 31 or n == n_nodes
+    _check_against_reference(A, want_a, nk)
+    _check_against_reference(M, want_m, nk)
+
+
+@pytest.mark.parametrize("assembler", [forms.assemble_delta, forms.assemble_delta_prime])
+def test_assembly_memory_is_bounded(assembler):
+    """The traced peak of one assembly stays within 8x the bytes of the
+    finished A and M.  numpy reports its buffers to tracemalloc, so the
+    ratio repeats: about 6x with one sort shared by A and M, about 12x
+    when each matrix sorts its own copy of the entries."""
+    _, m, d = _setup("half_plane", 6, box_radius=16.0)
+    assembler(m, d)
+    tracemalloc.start()
+    try:
+        df = assembler(m, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for X in (df.A, df.M) for a in (X.data, X.indices, X.indptr))
+    assert peak <= 8 * size, f"assembly peak {peak / size:.1f}x the bytes of A and M"
 
 
 # -- the element-patch coercivity bound -------------------------------------

@@ -1,11 +1,16 @@
-"""Pinned numbering of the mesh and the broken dof layout.
+"""Pinned numbering of the mesh and the broken dof layout, and pinned
+assembled forms.
 
 Every array of `mesh.triangulate` and of `forms.broken_dof_layout`, for each
 canonical geometry (box radius 4, default parameters) at levels 0-3, must
 hash to the digest recorded here.  A speed change that renumbers nodes,
 triangles, interface edges or dofs therefore fails this test instead of
-moving eigenvalues at rounding level.  A deliberate renumbering must update
-the digests together with a note on why the numbering changed."""
+moving eigenvalues at rounding level.  The same holds for the assembled
+forms on those meshes: A and M (data, indices, indptr), the coercivity
+bound and the dof maps of every assembler, so a change to the summation
+order of the assembly fails here too.  A deliberate renumbering or
+reordering must update the digests together with a note on why it
+changed."""
 
 import hashlib
 
@@ -93,3 +98,81 @@ def test_mesh_and_layout_numbering_is_pinned(name):
             + [(f"sub_node_dof[{k}]", v) for k, v in sub_node_dof.items()])
         assert (mesh_digest, layout_digest) == _DIGESTS[name, level], \
             f"{name} level {level}: mesh or layout numbering changed"
+
+
+# one form per assembler and boundary policy; the Robin form is the first
+# subdomain's, with gamma 0.5
+_FORMS = {
+    "delta dirichlet": lambda m, d: forms.assemble_delta(m, d, "dirichlet"),
+    "delta neumann": lambda m, d: forms.assemble_delta(m, d, "neumann"),
+    "delta' dirichlet": lambda m, d: forms.assemble_delta_prime(m, d, "dirichlet"),
+    "delta' neumann": lambda m, d: forms.assemble_delta_prime(m, d, "neumann"),
+    "robin": lambda m, d: forms.assemble_subdomain_robin(
+        m, int(m.subdomain_ids()[0]), 0.5),
+}
+
+# geometry: sha256 of each form in _FORMS order, over levels 0-3
+_FORM_DIGESTS = {
+    "half_plane": (
+        "682419c6c7a12b0ddc8f2d3cf1ddd75c99c67728f20593a17c0b18f3ae8e477c",
+        "b01ba8d5cb5a74d62517d20ad10c267c13ab15b890ec86d8d36db9fb9443d5d5",
+        "cc7acafa31ce373a85fa493ab74c76c8b3e2421b0652b1fffff067254f063528",
+        "9ee80d7b8f0b02d1c5d56a3cdd4ef8768dae6fb548576c122a9ffc5e4b5b0d7c",
+        "a77a68ff77cba21e6221cff890ffc320c1eeb2dcb299eae5826eb51010aa6ec8",
+    ),
+    "wedge": (
+        "c709ac4be573dc959ed523e786ecb9654cfc1f08d2e5e6eabe5cbb1e98d85726",
+        "0cd1b36ad4d7d5c70bebb6e257864bb47328ff115da72ee2922c889f9e3a9fb4",
+        "ef949403463c0947b5dca10b3c9df54042f2419a3197cc0589c4b7b486910125",
+        "dd2920cbadc1aa16adf7fc7fe9a668af1982c4d3c012ac05f082201b2b2bec2a",
+        "b27c0dec968501e4d8fae07d629e33498d30f456e2b66ee2de061ad2afaf0d91",
+    ),
+    "star3": (
+        "ed6b6e72f815acc383808a7641eeb44b96d3d3d71215a9c18ca3df013f725caa",
+        "68af45ba11922fda14a44069bb4581c0a8ab5ad2dd696eb2343b794f9181ec89",
+        "fdfd851db7cb2f13a327f9f9e4bc7f26783e4e4e5067834a0ff149e60d2c25b9",
+        "0d2f3db25ecd999dd34aab52f61002144ce1519c8a53bf5244e8b69fc943ae37",
+        "2a08ad5992cca58ff216b19d18acee9c29ffa0514a8602a2ed7d2688abb3388b",
+    ),
+    "line_with_bump": (
+        "ab66eb259d218272e14c0ef2dfcc8657d423ff5963d0376a596b19ba37867b2d",
+        "5c7fe3ef00cebf2cf3b428a8224b7b8fd38c8af7f05bd4cd4e54b5eccbbc4003",
+        "e69c60e62d2f407d3bce778ef1eb6b83f98c6fbafcf6cc8404b4b79ef9a2a2b1",
+        "f933053ae3d659f508d4d21d86318130518f75ba5618882be7699019a46b802b",
+        "ff59e26fbd4d352d7f56e66dc540557b358b64d7c490cec9a9bc371bfcdef285",
+    ),
+    "grid": (
+        "c917216d27293c5ad6342b0bf9087e0de8f70fd00d9a1d39ae029e20db617c1a",
+        "9cbc34174bbea63fb0d22c72b29a996c4a8a69116932615f124186c02c518ef3",
+        "d4134cbf893030283d56d3cb458411c5cfc269ead7ad48f97b2afd032633266b",
+        "43c528e54241c6afc360235163369540bbf693cb137e4df67c1ff4068133a3c6",
+        "800f36b6e6e0c5e9be3564cc4388591bd452147bc02a07e2e53f4d1e0e3cb803",
+    ),
+    "island": (
+        "9f4faade4cad6b283898e7af1bfba6c7ae8f55a87825fca899e1f819fc9a4ca8",
+        "7ac251d7f70d3f5075868da61819006ba11c5b1888c6ea5f4d92dce9dde92caf",
+        "04b2d76b2dc35e4e14cabe5a284edd18cf5dff7c084ce7f19eb681133394f6bd",
+        "6ff7651337d34dbd7456918ef1c59433ddacccbb9ae0b05a0e7db586f5f3d255",
+        "9935ab8465f1da237ece394df6405587066a0631294b6e92aa41efecd0b2a8db",
+    ),
+}
+
+
+def _form_arrays(df):
+    return ([(f"{x}.{f}", getattr(getattr(df, x), f))
+             for x in ("A", "M") for f in ("data", "indices", "indptr")]
+            + [("coercivity_bound", np.float64(df.coercivity_bound)),
+               ("full_to_red", df.full_to_red), ("dof_node", df.dof_node)])
+
+
+@pytest.mark.parametrize("name", geometry.CANONICAL_NAMES)
+def test_assembled_forms_are_pinned(name):
+    p = geometry.build_canonical_partition(name, {"box_radius": 4.0})
+    d = geometry.InteractionData.uniform(p, 1.0, 2.0)
+    meshes = [mesh.triangulate(p, level) for level in range(4)]
+    digests = tuple(
+        _digest([(f"{level} {a}", v) for level, m in enumerate(meshes)
+                 for a, v in _form_arrays(make(m, d))])
+        for make in _FORMS.values())
+    for form, got, want in zip(_FORMS, digests, _FORM_DIGESTS[name]):
+        assert got == want, f"{name} {form}: assembled form changed"
