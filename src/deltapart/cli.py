@@ -14,7 +14,7 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Union
 
 import numpy as np
@@ -344,20 +344,11 @@ def _closed_form_payload(name: str, params) -> Dict:
     if name == "interval":
         b, l = need(2)
         r = closedform.interval_delta_prime(b, l)
-        return {"values": [r.epsilon], "epsilon": r.epsilon,
-                "k_rate": r.k_rate, "residual": r.residual}
+        return {"values": [r.epsilon], **asdict(r)}
     if name == "minimax":
         need(0)
         r = closedform.minimax_star()
-        return {"values": [r.value], "t_star": r.t_star,
-                "omega_star_at_t": r.omega_star_at_t, "value": r.value,
-                "c_star_derived": r.c_star_derived,
-                "m1_at_opt": r.m1_at_opt, "m2_at_opt": r.m2_at_opt,
-                "branch_t_ge_1": r.branch_t_ge_1,
-                "grid_oracle_value": r.grid_oracle_value,
-                "paper_printed_value": r.paper_printed_value,
-                "paper_printed_c_star": r.paper_printed_c_star,
-                "discrepancy": r.discrepancy}
+        return {"values": [r.value], **asdict(r)}
     raise ConfigError(
         f"unknown closed-form name {name!r}; expected one of "
         "halfplane-bottoms, wedge-trace, star-delta, edge-constant, "

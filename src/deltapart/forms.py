@@ -343,15 +343,11 @@ def coarse_form(df: DiscreteForm):
         P = step if P is None else P @ step
     assembler = assemble_delta if df.space == "continuous" else assemble_delta_prime
     cf = assembler(m, df.interaction, df.bc)
-    # nodal weights per fine dof, moved onto the coarse dof of the same
-    # subdomain and node (absent when the Dirichlet condition removed it)
-    Pn = P[df.dof_node].tocoo()
-    key = df.dof_subdomain[Pn.row] * m.n_nodes + Pn.col
-    ckey = cf.dof_subdomain * m.n_nodes + cf.dof_node
-    order = np.argsort(ckey)
-    pos = np.minimum(np.searchsorted(ckey[order], key), ckey.size - 1)
-    hit = ckey[order][pos] == key
-    prolong = sp.csr_matrix((Pn.data[hit], (Pn.row[hit], order[pos[hit]])),
+    # nodal weights per fine dof, kept on the coarse dofs of the same node
+    # in the same subdomain (none when the Dirichlet condition removed it)
+    Pn = P[df.dof_node][:, cf.dof_node].tocoo()
+    same = df.dof_subdomain[Pn.row] == cf.dof_subdomain[Pn.col]
+    prolong = sp.csr_matrix((Pn.data[same], (Pn.row[same], Pn.col[same])),
                             shape=(df.n_dofs, cf.n_dofs))
     return cf, prolong
 

@@ -194,35 +194,24 @@ def _chain_edges(edges: List[Tuple[int, int]]) -> List[List[int]]:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     unused = {tuple(sorted(e)) for e in edges}
+
+    def step(v: int) -> int | None:
+        """Leave v along its smallest unused edge, using it up."""
+        for nb in sorted(adj[v]):
+            if (edge := (min(v, nb), max(v, nb))) in unused:
+                unused.remove(edge)
+                return nb
+        return None
+
     chains: List[List[int]] = []
-    ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
-    starts = ends + sorted(adj)
-    for start in starts:
-        while True:
-            first = None
-            for nb in sorted(adj[start]):
-                if (min(start, nb), max(start, nb)) in unused:
-                    first = nb
-                    break
-            if first is None:
-                break
-            chain = [start, first]
-            unused.discard((min(start, first), max(start, first)))
-            cur, prev = first, start
-            while True:
-                nxt = None
-                for nb in sorted(adj[cur]):
-                    if (min(cur, nb), max(cur, nb)) in unused:
-                        nxt = nb
-                        break
-                if nxt is None:
-                    break
+    # open chains start at their ends, so only loops start mid-way
+    for start in sorted(v for v, nb in adj.items() if len(nb) == 1) + sorted(adj):
+        while (nxt := step(start)) is not None:
+            chain = [start]
+            while nxt is not None:
                 chain.append(nxt)
-                unused.discard((min(cur, nxt), max(cur, nxt)))
-                prev, cur = cur, nxt
+                nxt = step(nxt)
             chains.append(chain)
-        if not unused:
-            break
     return chains
 
 
@@ -273,34 +262,20 @@ def validate_partition(p: Partition) -> None:
 # canonical builders
 # ---------------------------------------------------------------------------
 
-def _box_coordinate(pt: Tuple[float, float], R: float) -> float:
-    """Perimeter coordinate in [0, 8R), counter-clockwise, 0 at (R, -R)."""
-    x, y = pt
-    tol = 1e-9 * R
-    if abs(x - R) < tol:
-        return y + R
-    if abs(y - R) < tol:
-        return 2 * R + (R - x)
-    if abs(x + R) < tol:
-        return 4 * R + (R - y)
-    if abs(y + R) < tol:
-        return 6 * R + (x + R)
-    raise ValueError(f"point {pt} not on box boundary")
-
-
 def _box_walk(a, b, R) -> List[Tuple[float, float]]:
-    """Box corners strictly between perimeter positions of a and b, CCW."""
-    sa = _box_coordinate(a, R)
-    sb = _box_coordinate(b, R)
-    corners = [(2 * R, (R, R)), (4 * R, (-R, R)), (6 * R, (-R, -R)), (8 * R, (R, -R))]
-    out = []
-    span = (sb - sa) % (8 * R)
-    for s, pt in corners:
-        rel = (s - sa) % (8 * R)
-        if 1e-9 * R < rel < span - 1e-9 * R:
-            out.append((rel, pt))
-    out.sort()
-    return [pt for _, pt in out]
+    """Box corners strictly between the box points a and b, counter-clockwise."""
+    turn = 2 * math.pi
+    start = math.atan2(a[1], a[0])
+    span = (math.atan2(b[1], b[0]) - start) % turn
+    corners = sorted(((math.atan2(y, x) - start) % turn, (x, y))
+                     for x, y in ((R, R), (-R, R), (-R, -R), (R, -R)))
+    # a point within the snap distance 1e-9 * max(R, 1) of a corner is that
+    # corner, so the margin only absorbs rounding: it lies far below the
+    # angle, at least 5e-10, that the snap distance subtends at a corner
+    return [pt for angle, pt in corners if 1e-12 < angle < span - 1e-12]
+
+
+_Cells = Tuple[_VertexPool, Tuple[Subdomain, ...]]  # what each builder returns
 
 
 def _ray_box_exit(theta: float, R: float) -> Tuple[float, float]:
@@ -311,7 +286,7 @@ def _ray_box_exit(theta: float, R: float) -> Tuple[float, float]:
     return (_snap(t * c, R), _snap(t * s, R))
 
 
-def _half_plane(R: float) -> Partition:
+def _half_plane(R: float) -> _Cells:
     pool = _VertexPool(R)
     bl = pool.add(-R, -R)
     br = pool.add(R, -R)
@@ -319,15 +294,13 @@ def _half_plane(R: float) -> Partition:
     tr = pool.add(R, R)
     tl = pool.add(-R, R)
     l0 = pool.add(-R, 0)
-    subs = (
+    return pool, (
         Subdomain(1, ((l0, r0, tr, tl),)),
         Subdomain(2, ((bl, br, r0, l0),)),
     )
-    v = pool.array()
-    return Partition(R, v, subs, _derive_interfaces(v, subs), symmetry_axis=None)
 
 
-def _wedge(R: float, phi: float) -> Partition:
+def _wedge(R: float, phi: float) -> _Cells:
     if not (0 < phi <= math.pi):
         raise ValueError(f"wedge angle phi must lie in (0, pi], got {phi}")
     pool = _VertexPool(R)
@@ -338,12 +311,10 @@ def _wedge(R: float, phi: float) -> Partition:
     i2 = pool.add(*e2)
     wedge_loop = [o, i1] + [pool.add(*pt) for pt in _box_walk(e1, e2, R)] + [i2]
     comp_loop = [o, i2] + [pool.add(*pt) for pt in _box_walk(e2, e1, R)] + [i1]
-    subs = (Subdomain(1, (tuple(wedge_loop),)), Subdomain(2, (tuple(comp_loop),)))
-    v = pool.array()
-    return Partition(R, v, subs, _derive_interfaces(v, subs), symmetry_axis=0.0)
+    return pool, (Subdomain(1, (tuple(wedge_loop),)), Subdomain(2, (tuple(comp_loop),)))
 
 
-def _star3(R: float) -> Partition:
+def _star3(R: float) -> _Cells:
     pool = _VertexPool(R)
     o = pool.add(0.0, 0.0)
     up = pool.add(0.0, R)
@@ -354,60 +325,29 @@ def _star3(R: float) -> Partition:
     tr = pool.add(R, R)
     bl = pool.add(-R, -R)
     br = pool.add(R, -R)
-    subs = (
+    return pool, (
         Subdomain(1, ((o, up, tl, sw),)),        # top-left sector
         Subdomain(2, ((o, sw, bl, br, se),)),    # bottom sector
         Subdomain(3, ((o, se, tr, up),)),        # right sector
     )
-    v = pool.array()
-    return Partition(R, v, subs, _derive_interfaces(v, subs))
-
-
-def _island_chains(loop: List[int], vertices: List[Tuple[float, float]]):
-    """Topmost/bottommost loop positions (tie-break: smaller x)."""
-    def key_top(i):
-        x, y = vertices[loop[i]]
-        return (-y, x)
-
-    def key_bot(i):
-        x, y = vertices[loop[i]]
-        return (y, x)
-
-    i_t = min(range(len(loop)), key=key_top)
-    i_b = min(range(len(loop)), key=key_bot)
-    return i_t, i_b
 
 
 def _split_annulus(pool: _VertexPool, island: List[int], y_bot: float, y_top: float,
                    R: float) -> Tuple[List[int], List[int], int, int]:
     """Split (rectangle [-R,R]x[y_bot,y_top]) minus island into two simple
     cells via vertical seams from the island's topmost vertex up and
-    bottommost vertex down. Returns (left_loop, right_loop, bottom seam foot,
-    top seam foot)."""
-    coords = pool.coords
-    i_t, i_b = _island_chains(island, coords)
-    n = len(island)
-    T = island[i_t]
-    B = island[i_b]
-    tx = coords[T][0]
-    bx = coords[B][0]
-    foot_b = pool.add(bx, y_bot)
-    foot_t = pool.add(tx, y_top)
-    # CCW walk T -> B follows the island's left side; B -> T its right side
-    left_chain = []
-    i = i_t
-    while True:
-        left_chain.append(island[i])
-        if island[i] == B:
-            break
-        i = (i + 1) % n
-    right_chain = []
-    i = i_b
-    while True:
-        right_chain.append(island[i])
-        if island[i] == T:
-            break
-        i = (i + 1) % n
+    bottommost vertex down (ties go to the smaller x). Returns (left_loop,
+    right_loop, bottom seam foot, top seam foot)."""
+    xy = [pool.coords[v] for v in island]
+    i_t = min(range(len(xy)), key=lambda i: (-xy[i][1], xy[i][0]))
+    i_b = min(range(len(xy)), key=lambda i: (xy[i][1], xy[i][0]))
+    foot_b = pool.add(xy[i_b][0], y_bot)
+    foot_t = pool.add(xy[i_t][0], y_top)
+    # the CCW island loop from the top T: T -> B is its left side, B -> T its right
+    ring = island[i_t:] + island[:i_t]
+    k = (i_b - i_t) % len(ring)
+    left_chain = ring[:k + 1]
+    right_chain = ring[k:] + ring[:1]
     bl = pool.add(-R, y_bot)
     tl = pool.add(-R, y_top)
     br = pool.add(R, y_bot)
@@ -430,19 +370,19 @@ def _check_island_polygon(pts: np.ndarray, R: float, upper_half: bool) -> None:
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
-            if _segments_cross(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n],
-                               tol * tol):
+            # a repeated vertex makes the loop touch itself or gives a
+            # zero-length side; neither is a proper crossing
+            if (math.dist(pts[i], pts[j]) < tol
+                    or _segments_cross(pts[i], pts[(i + 1) % n], pts[j],
+                                       pts[(j + 1) % n], tol * tol)):
                 raise ValueError("island polygon is not simple")
 
 
 def _as_ccw(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    if 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) < 0:
-        return pts[::-1]
-    return pts
+    return pts[::-1] if _loop_area(pts, range(len(pts))) < 0 else pts
 
 
-def _line_with_bump(R: float, bump: np.ndarray) -> Partition:
+def _line_with_bump(R: float, bump: np.ndarray) -> _Cells:
     bump = _as_ccw(np.asarray(bump, dtype=float))
     _check_island_polygon(bump, R, upper_half=True)
     pool = _VertexPool(R)
@@ -453,30 +393,26 @@ def _line_with_bump(R: float, bump: np.ndarray) -> Partition:
     r0 = pool.add(R, 0.0)
     l0 = pool.add(-R, 0.0)
     lower = [bl, br, r0, foot_b, l0]
-    subs = (
+    return pool, (
         Subdomain(1, (tuple(island),)),
         Subdomain(2, (tuple(left_loop), tuple(right_loop))),
         Subdomain(3, (tuple(lower),)),
     )
-    v = pool.array()
-    return Partition(R, v, subs, _derive_interfaces(v, subs))
 
 
-def _island_partition(R: float, poly: np.ndarray) -> Partition:
+def _island_partition(R: float, poly: np.ndarray) -> _Cells:
     poly = _as_ccw(np.asarray(poly, dtype=float))
     _check_island_polygon(poly, R, upper_half=False)
     pool = _VertexPool(R)
     island = [pool.add(x, y) for x, y in poly]
     left_loop, right_loop, _, _ = _split_annulus(pool, island, -R, R, R)
-    subs = (
+    return pool, (
         Subdomain(1, (tuple(island),)),
         Subdomain(2, (tuple(left_loop), tuple(right_loop))),
     )
-    v = pool.array()
-    return Partition(R, v, subs, _derive_interfaces(v, subs))
 
 
-def _grid(R: float, rows: int, cols: int) -> Partition:
+def _grid(R: float, rows: int, cols: int) -> _Cells:
     pool = _VertexPool(R)
     xs = [-R + 2 * R * j / cols for j in range(cols + 1)]
     ys = [-R + 2 * R * i / rows for i in range(rows + 1)]
@@ -486,12 +422,10 @@ def _grid(R: float, rows: int, cols: int) -> Partition:
         for j in range(cols):
             loop = (idx[(i, j)], idx[(i, j + 1)], idx[(i + 1, j + 1)], idx[(i + 1, j)])
             subs.append(Subdomain(i * cols + j + 1, (loop,)))
-    v = pool.array()
-    subs = tuple(subs)
-    return Partition(R, v, subs, _derive_interfaces(v, subs))
+    return pool, tuple(subs)
 
 
-def _grid_chi4(R: float) -> Partition:
+def _grid_chi4(R: float) -> _Cells:
     """Four rectilinear cells tiling the box so every pair shares an edge
     (K4 adjacency, chromatic number 4)."""
     pool = _VertexPool(R)
@@ -510,14 +444,12 @@ def _grid_chi4(R: float) -> Partition:
     v8 = pt(4, 2)
     v9 = pt(4, 3)
     v10 = pt(0, 3)
-    subs = (
+    return pool, (
         Subdomain(1, ((v6, v5, v7, v8, v9, v10),)),       # top strip
         Subdomain(2, ((v4, v3, v7, v5),)),                # middle left cell
         Subdomain(3, ((v3, v2, v8, v7),)),                # middle right cell
         Subdomain(4, ((v0, v1, v2, v3, v4, v5, v6),)),    # bottom strip + left arm
     )
-    v = pool.array()
-    return Partition(R, v, subs, _derive_interfaces(v, subs))
 
 
 def _is_real(v) -> bool:
@@ -563,15 +495,15 @@ def build_canonical_partition(name: str, params: dict | None = None) -> Partitio
                          f"expected one of {CANONICAL_NAMES}")
     R = float(_param(params, "box_radius", 8.0, _is_positive, "a positive number"))
     if name == "half_plane":
-        p = _half_plane(R)
+        pool, subs = _half_plane(R)
     elif name == "wedge":
-        p = _wedge(R, float(_param(params, "phi", 2 * math.pi / 3, _is_real,
-                                   "a number")))
+        phi = _param(params, "phi", 2 * math.pi / 3, _is_real, "a number")
+        pool, subs = _wedge(R, float(phi))
     elif name == "star3":
-        p = _star3(R)
+        pool, subs = _star3(R)
     elif name == "line_with_bump":
         default = [(-1.0, 1.0), (1.0, 1.0), (1.0, 3.0), (-1.0, 3.0)]
-        p = _line_with_bump(R, _points(params, "bump", default))
+        pool, subs = _line_with_bump(R, _points(params, "bump", default))
     elif name == "island":
         if "polygon" in params:
             poly = _points(params, "polygon", None)
@@ -580,15 +512,19 @@ def build_canonical_partition(name: str, params: dict | None = None) -> Partitio
             ngon = _count(params, "sides", 16, 3)
             ang = 2 * math.pi * np.arange(ngon) / ngon
             poly = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-        p = _island_partition(R, poly)
+        pool, subs = _island_partition(R, poly)
     else:  # grid
         if _param(params, "variant", None, lambda v: v in (None, "chi4"),
                   "'chi4'") == "chi4":
-            p = _grid_chi4(R)
+            pool, subs = _grid_chi4(R)
         else:
-            p = _grid(R, _count(params, "rows", 2, 1), _count(params, "cols", 2, 1))
+            pool, subs = _grid(R, _count(params, "rows", 2, 1),
+                               _count(params, "cols", 2, 1))
     if params:
         raise ValueError(f"unknown parameters {sorted(params)} for geometry {name!r}")
+    v = pool.array()
+    p = Partition(R, v, subs, _derive_interfaces(v, subs),
+                  symmetry_axis=0.0 if name == "wedge" else None)
     validate_partition(p)
     return p
 
@@ -610,23 +546,18 @@ def chromatic_colouring(g: Graph) -> Colouring:
     n = len(g.nodes)
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact colouring limited to {MAX_EXACT_VERTICES} vertices, got {n}")
-    if n == 0:
-        return Colouring(1, {})
     order = list(g.nodes)
     pos = {v: i for i, v in enumerate(order)}
     adj = [set() for _ in range(n)]
     for a, b in g.edges:
         adj[pos[a]].add(pos[b])
         adj[pos[b]].add(pos[a])
-    if not g.edges:
-        return Colouring(1, {v: 0 for v in order})
-    lower = _clique_number(set(range(n)), adj)
-    upper = _greedy_bound(n, adj)
-    for m in range(lower, upper + 1):
-        assign = _try_colour(n, adj, m)
-        if assign is not None:
-            return Colouring(m, {order[i]: assign[i] for i in range(n)})
-    raise AssertionError("greedy bound should always be feasible")
+    # the first m with a colouring is chi (at least 1, also with no nodes);
+    # m = max(n, 1) always has one
+    m = max(1, _clique_number(set(range(n)), adj))
+    while (assign := _try_colour(n, adj, m)) is None:
+        m += 1
+    return Colouring(m, {order[i]: assign[i] for i in range(n)})
 
 
 def _clique_number(cand: set, adj: List[set]) -> int:
@@ -638,17 +569,6 @@ def _clique_number(cand: set, adj: List[set]) -> int:
         if len(cand) <= best:
             break
     return best
-
-
-def _greedy_bound(n: int, adj: List[set]) -> int:
-    colours = [-1] * n
-    for v in sorted(range(n), key=lambda u: -len(adj[u])):
-        used = {colours[u] for u in adj[v]}
-        c = 0
-        while c in used:
-            c += 1
-        colours[v] = c
-    return max(colours) + 1
 
 
 def _try_colour(n: int, adj: List[set], m: int) -> List[int] | None:

@@ -260,7 +260,11 @@ def triangulate(p: Partition, levels: int) -> Mesh:
 def canonical_mesh(name: str, params: dict | None, box_radius: float,
                    levels: int) -> Tuple[Partition, Mesh]:
     """Build the named canonical partition on a box of the given radius
-    (overriding any "box_radius" in params) and triangulate it."""
+    and triangulate it. The radius comes from box_radius alone: params
+    naming one too is an error, not a silent override."""
+    if "box_radius" in (params or {}):
+        raise ValueError("geometry parameter 'box_radius': set the box radius "
+                         "at the top level, not in the geometry parameters")
     p = geometry.build_canonical_partition(name, dict(params or {},
                                                       box_radius=box_radius))
     return p, triangulate(p, levels)

@@ -125,6 +125,7 @@ def test_solver_max_iter_rejected(tmp_path, capsys):
     ("grid", "cols", None),
     ("grid", "variant", "chi3"),
     ("grid", "rows", 2.5),
+    ("star3", "box_radius", 10),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_malformed_geometry_params(tmp_path, capsys, name, key, value):
     """Each ends in a named error and exit 1, not a traceback or another

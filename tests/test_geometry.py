@@ -52,6 +52,22 @@ def test_unknown_parameters_rejected():
         _build("wedge", angle=1.0)
 
 
+# polygons about the origin; the bump gets the same polygon moved up by 2
+@pytest.mark.parametrize("polygon,message", [
+    ([[-1, -1], [1, -1], [0, 0], [1, 1], [-1, 1], [0, 0]], "not simple"),  # touches itself
+    ([[-1, -1], [1, -1], [1, 1], [1, 1], [-1, 1]], "not simple"),  # a doubled point
+    ([[-1, -1], [1, -1], [1, 1], [-1, 1], [-1, -1]], "not simple"),  # closed by hand
+    ([[-1, -1], [1, 1], [1, -1], [-1, 1]], "not simple"),  # a bow tie
+    ([[-1, -1], [1, -1]], "at least 3 vertices"),
+    ([[-1, -1], [9, -1], [0, 1]], "strictly inside"),
+])
+@pytest.mark.parametrize("name,key", [("island", "polygon"), ("line_with_bump", "bump")])
+def test_bad_island_polygons_rejected(name, key, polygon, message):
+    shift = 2 if name == "line_with_bump" else 0
+    with pytest.raises(ValueError, match=message):
+        _build(name, **{key: [[x, y + shift] for x, y in polygon]})
+
+
 def test_star3_interface_lengths():
     p = _build("star3")
     by_pair = {(itf.k, itf.l): itf.length for itf in p.interfaces}

@@ -1,5 +1,5 @@
-"""Pinned numbering of the mesh and the broken dof layout, and pinned
-assembled forms.
+"""Pinned numbering of the mesh and the broken dof layout, pinned
+assembled forms, and pinned partitions.
 
 Every array of `mesh.triangulate` and of `forms.broken_dof_layout`, for each
 canonical geometry (box radius 4, default parameters) at levels 0-3, must
@@ -8,11 +8,16 @@ triangles, interface edges or dofs therefore fails this test instead of
 moving eigenvalues at rounding level.  The same holds for the assembled
 forms on those meshes: A and M (data, indices, indptr), the coercivity
 bound and the dof maps of every assembler, so a change to the summation
-order of the assembly fails here too.  A deliberate renumbering or
+order of the assembly fails here too.  The partitions themselves are
+pinned for more inputs than the meshes: vertices, each subdomain's loops,
+each interface's polyline and length, and the exact colouring, so a
+rewrite of the geometry code that reorders a loop or an interface fails
+here even where the mesh would hide it.  A deliberate renumbering or
 reordering must update the digests together with a note on why it
 changed."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -176,3 +181,73 @@ def test_assembled_forms_are_pinned(name):
         for make in _FORMS.values())
     for form, got, want in zip(_FORMS, digests, _FORM_DIGESTS[name]):
         assert got == want, f"{name} {form}: assembled form changed"
+
+
+# (geometry, params): sha256 of the partition and its exact colouring
+_PARTITION_CASES = {
+    "half_plane": ("half_plane", {}),
+    "wedge": ("wedge", {}),
+    "star3": ("star3", {}),
+    "line_with_bump": ("line_with_bump", {}),
+    "grid": ("grid", {}),
+    "island": ("island", {}),
+    "wedge pi/2": ("wedge", {"phi": math.pi / 2}),
+    "wedge pi/2-1e-10": ("wedge", {"phi": math.pi / 2 - 1e-10}),
+    "wedge pi/2+1e-10": ("wedge", {"phi": math.pi / 2 + 1e-10}),
+    # just outside the snap to the corners (R, R) and (-R, R)
+    "wedge pi/2-1.5e-9": ("wedge", {"phi": math.pi / 2 - 1.5e-9}),
+    "wedge pi/2+1.5e-9": ("wedge", {"phi": math.pi / 2 + 1.5e-9}),
+    "wedge 3pi/4": ("wedge", {"phi": 3 * math.pi / 4}),
+    "wedge pi": ("wedge", {"phi": math.pi}),
+    "grid 3x5": ("grid", {"rows": 3, "cols": 5}),
+    "grid chi4": ("grid", {"variant": "chi4"}),
+    "island sides 5": ("island", {"sides": 5}),
+    # ties for the topmost and the bottommost vertex, a notch on top
+    "island polygon": ("island", {"polygon": [[-2, -2], [2, -2], [2, 2], [0.5, 1],
+                                              [-2, 2]]}),
+    # clockwise, so the builder reverses it
+    "line_with_bump bump": ("line_with_bump", {"bump": [[-1, 1], [-2, 3], [1, 4],
+                                                        [2, 2]]}),
+}
+
+_PARTITION_DIGESTS = {
+    "half_plane": "1b4600a031a3c9b0b0e14f9695dd4cc5af632defc5a1ae8700a4e086116828d6",
+    "wedge": "68abd0e01df5c54228b0ab14e98376067e038f61f17122d266838ab5ea32f5c7",
+    "star3": "00e207c366b88e7994ffa740012074e063a403675e491cde8588e405611fd4cc",
+    "line_with_bump": "847638752dd4d134860cf017e0eec1a1055cac665261c954f233ed6dde4d1d70",
+    "grid": "3626c5547aabbe0d7679a047bd97d2e812ae9d3801497f828d3e24cf3c4b27df",
+    "island": "5167764341eed76d5d6e9a5d45a8ad45bec70134d6d3aa2a2ddb325423b44669",
+    "wedge pi/2": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
+    "wedge pi/2-1e-10": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
+    "wedge pi/2+1e-10": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
+    "wedge pi/2-1.5e-9": "9cda4a558c0e5f01179997be0262614729c42fe60171c41d8e2f5f1e4ce2c008",
+    "wedge pi/2+1.5e-9": "274626f7086032248a342e61114d6da50498eccc428a3290fa12876becc76dd8",
+    "wedge 3pi/4": "20512afb602acfb3dade35254a69e4bb35e0f1de95306ad75c03afe3f1db880d",
+    "wedge pi": "8572ce4ca461dc34e3f5ee2fafb0b83d270037abb2e8eff48f2632c5d5fc07a0",
+    "grid 3x5": "e758015fbc3e4e65c4d2fd4d1c9987b8770399b0120386428b8967292d1aa9e3",
+    "grid chi4": "691da8620633f334fa6e2ea5baf91a8feca85b04d7b09820bcb792a6817414e7",
+    "island sides 5": "0591a3dd297a355089a5a08073dc946cf4e9d0bc41f89ca8a158fe70ba8b9a84",
+    "island polygon": "b129c811a130437ce28317f56a6f57c9639241adf20db433f48aee0722e01f5a",
+    "line_with_bump bump": "c1f75f741cd7ab87343026ec6c7f717c25a14fe7bc9c706df468e126cab8c6ca",
+}
+
+
+def _partition_digest(p):
+    c = geometry.chromatic_colouring(geometry.adjacency_graph(p))
+    named = [("vertices", p.vertices)]
+    named += [(f"subdomain {s.id} loop {i}", np.array(loop, dtype=np.int64))
+              for s in p.subdomains for i, loop in enumerate(s.loops)]
+    named += [(f"interface {t.id} {t.k} {t.l}", np.array(t.polyline, dtype=np.int64))
+              for t in p.interfaces]
+    named += [("lengths", np.array([t.length for t in p.interfaces])),
+              ("chi", np.int64(c.chi)),
+              ("phi", np.array(sorted(c.phi.items()), dtype=np.int64))]
+    return _digest(named)
+
+
+@pytest.mark.parametrize("case", _PARTITION_CASES)
+def test_partitions_are_pinned(case):
+    name, params = _PARTITION_CASES[case]
+    p = geometry.build_canonical_partition(name, params)
+    assert _partition_digest(p) == _PARTITION_DIGESTS[case], \
+        f"{case}: vertices, loops, interfaces or colouring changed"
