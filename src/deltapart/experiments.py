@@ -242,19 +242,28 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
 # essential-spectrum thresholds on growing boxes
 # ---------------------------------------------------------------------------
 
-def _broken_rayleigh_local(m: mesh.Mesh, tri_dofs: np.ndarray, jump,
+def _broken_rayleigh_local(m: mesh.Mesh, sub_node_dof, jump,
                            f: np.ndarray) -> float:
     """Broken-form Rayleigh quotient of a full broken vector, assembled only
     over elements meeting the support of f (identical to the value on the
-    fully assembled Neumann form).  tri_dofs are the broken dofs of every
-    triangle (`forms.broken_dofs`) and jump the (dofs, local matrices) of
+    fully assembled Neumann form).  sub_node_dof is the layout map of
+    `forms.broken_dof_layout` and jump the (dofs, local matrices) of
     `forms.jump_coupling`; neither depends on f, so a caller with several
-    vectors builds them once."""
+    vectors builds them once.  Broken dofs are looked up only for the
+    triangles with a vertex that carries a nonzero entry in some subdomain;
+    of those, the triangles with a nonzero entry among their own dofs are
+    kept, in ascending order."""
     nz = np.abs(f) > 0.0
+    marked = np.zeros(m.n_nodes, dtype=bool)
+    for lut in sub_node_dof.values():
+        marked |= (lut >= 0) & nz[lut]
+    tris = m.triangles
+    cand = np.flatnonzero(marked[tris[:, 0]] | marked[tris[:, 1]] | marked[tris[:, 2]])
+    tri_dofs = forms.broken_dofs(sub_node_dof, m.tri_subdomain[cand], tris[cand])
     active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
     tl = tri_dofs[active]
     stiff, mass, _ = _kernels.p1_elements(
-        np.ascontiguousarray(m.nodes), np.ascontiguousarray(m.triangles[active]))
+        np.ascontiguousarray(m.nodes), tris[cand[active]])
     v = f[tl]                                            # (na, 3) possibly complex
     S = np.asarray(stiff).reshape(-1, 3, 3)
     Mm = np.asarray(mass).reshape(-1, 3, 3)
@@ -320,7 +329,6 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         p, m = mesh.canonical_mesh("wedge", {"phi": wedge_phi}, R, wedge_levels)
         d = geometry.InteractionData.uniform(p, 0.0, beta)
         layout = forms.broken_dof_layout(m)
-        tri_dofs = forms.broken_dofs(layout[2], m.tri_subdomain, m.triangles)
         jump = forms.jump_coupling(m, d.beta, layout[2])
         quotients = []
         for n in n_list:
@@ -330,7 +338,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
                 "angle": np.pi / 2.0 - wedge_phi / 2.0, "upper": 1,
                 "ray_length": R,
             })
-            quotients.append(_broken_rayleigh_local(m, tri_dofs, jump, psi))
+            quotients.append(_broken_rayleigh_local(m, layout[2], jump, psi))
         rep.quantities.update({"target": target, "n_list": list(n_list),
                                "rayleigh_quotients": quotients})
         for i in range(1, len(quotients)):

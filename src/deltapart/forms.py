@@ -393,54 +393,83 @@ def rayleigh(df: DiscreteForm, f: np.ndarray) -> float:
     return float(np.real(np.vdot(f, df.A @ f))) / denom
 
 
-# the params keys each family reads
+# the params keys each family needs, then the keys it reads if given
 _FAMILY_KEYS = {
-    "deformation_fn": {"n", "alpha"},
-    "wedge_psi_np": {"layout", "n", "p", "beta", "center", "angle", "upper",
-                     "ray_length"},
+    "deformation_fn": ({"n", "alpha"}, set()),
+    "wedge_psi_np": ({"layout", "n", "beta", "center"},
+                     {"p", "angle", "upper", "ray_length"}),
 }
 FAMILIES = tuple(_FAMILY_KEYS)
 
 
+def _number(params: dict, key: str, default=None, positive: bool = False) -> float:
+    """params[key], or default when absent, as a finite float (> 0 when
+    positive); anything else raises ValueError naming the key."""
+    value = params.get(key, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if not np.isfinite(x) or (positive and x <= 0.0):
+        kind = "a positive" if positive else "a finite"
+        raise ValueError(f"parameter {key!r} must be {kind} number, got {value!r}")
+    return x
+
+
 def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     """Nodal interpolation of an analytic family. deformation_fn returns one
-    value per node, bump(x / n) exp(-alpha |y| / 2); wedge_psi_np returns a full broken complex vector for the
-    broken dof layout params["layout"] = (dof_node, dof_subdomain).  A key
-    of params that the family does not read raises ValueError."""
+    value per node, bump(x / n) exp(-alpha |y| / 2); wedge_psi_np returns a
+    full broken complex vector for the broken dof layout params["layout"] =
+    (dof_node, dof_subdomain).  The product is evaluated only on its
+    support: in coordinates (xr, yr) turned by params["angle"], the dofs
+    with sx = |xr - center| / n < 2 and sy = |yr| / n < 2, the same test as
+    `bump`'s s >= 2 cut.  Every other entry is +0.
+
+    A missing needed key, a key the family does not read, n <= 0, beta <= 0
+    or a number that is not finite raises ValueError naming the key."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    unknown = set(params) - _FAMILY_KEYS[family]
+    needed, optional = _FAMILY_KEYS[family]
+    unknown = set(params) - needed - optional
     if unknown:
         raise ValueError(f"unknown parameters {sorted(map(str, unknown))} "
+                         f"for family {family!r}")
+    missing = needed - set(params)
+    if missing:
+        raise ValueError(f"missing parameters {sorted(missing)} "
                          f"for family {family!r}")
     x = m.nodes[:, 0]
     y = m.nodes[:, 1]
     R = m.box_radius
+    n = _number(params, "n", positive=True)
     if family == "deformation_fn":
-        n = float(params["n"])
-        alpha = float(params["alpha"])
+        alpha = _number(params, "alpha")
         if 2.0 * n > R:
             raise ValueError("cutoff support exceeds the box")
         return bump(x / n) * np.exp(-0.5 * alpha * np.abs(y))
     # wedge_psi_np: broken, complex, sign flip across the interface ray
     dof_node, dof_subdomain = params["layout"]
-    n = float(params["n"])
-    p = float(params.get("p", 0.0))
-    beta = float(params["beta"])
-    center = float(params["center"])
-    angle = float(params.get("angle", 0.0))
-    upper = int(params.get("upper", 1))
-    ray_length = float(params.get("ray_length", R))
+    p = _number(params, "p", 0.0)
+    beta = _number(params, "beta", positive=True)
+    center = _number(params, "center")
+    angle = _number(params, "angle", 0.0)
+    upper = int(_number(params, "upper", 1))
+    ray_length = _number(params, "ray_length", R)
     if center - 2.0 * n < 0.0 or center + 2.0 * n > ray_length:
         raise ValueError("cutoff support exceeds the interface ray")
     ct, st = np.cos(angle), np.sin(angle)
     nx = m.nodes[dof_node]
     xr = nx[:, 0] * ct + nx[:, 1] * st
     yr = -nx[:, 0] * st + nx[:, 1] * ct
+    sx = np.abs(xr - center) / n
+    sy = np.abs(yr) / n
+    on = np.flatnonzero((sx < 2.0) & (sy < 2.0))
+    xr, yr = xr[on], yr[on]
     tol = 1e-12 * max(R, 1.0)
     sign = np.where(yr > tol, 1.0, np.where(yr < -tol, -1.0,
-                    np.where(dof_subdomain == upper, 1.0, -1.0)))
-    vals = (1.0 / np.sqrt(n)) * bump(np.abs(xr - center) / n) * bump(np.abs(yr) / n) \
+                    np.where(dof_subdomain[on] == upper, 1.0, -1.0)))
+    vals = np.zeros(sx.size, dtype=complex)
+    vals[on] = (1.0 / np.sqrt(n)) * bump(sx[on]) * bump(sy[on]) \
         * sign * np.exp(-2.0 * np.abs(yr) / beta) * np.exp(1j * p * xr)
     return vals
 

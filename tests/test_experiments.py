@@ -73,6 +73,15 @@ def test_threshold_wedge_quotients_decreasing():
     assert q[1] > rep.quantities["target"]        # Rayleigh from above
 
 
+def test_threshold_wedge_quotients_are_pinned():
+    """The three wedge quotients at R = 140, L6, bit for bit (float.hex)."""
+    rep = experiments.run_threshold_convergence(
+        geometry_name="wedge", operator="delta-prime", strength=2.0,
+        wedge_levels=6)
+    assert [q.hex() for q in rep.quantities["rayleigh_quotients"]] == [
+        "-0x1.8570dc4fffc84p-1", "-0x1.8fa769c2c827fp-1", "-0x1.9248bdbfd6e7dp-1"]
+
+
 def test_threshold_rejects_tiny_wedge_box():
     with pytest.raises(ValueError, match="box too small"):
         experiments.run_threshold_convergence(

@@ -195,6 +195,28 @@ def test_sample_test_function_errors():
                                        {"n": 1.0, "alpha": 1.0, **extra})
     with pytest.raises(ValueError, match="'cneter'"):
         forms.sample_test_function(m, "wedge_psi_np", {"n": 1.0, "cneter": 2.0})
+    # every needed key is required, and each number is checked by name
+    dof_node, dof_sub, _ = forms.broken_dof_layout(m)
+    wedge = {"layout": (dof_node, dof_sub), "n": 0.25, "beta": 2.0,
+             "center": 0.75, "ray_length": 2.0}
+    assert forms.sample_test_function(m, "wedge_psi_np", wedge).shape == dof_node.shape
+    for family, params, key in (
+            ("deformation_fn", {"alpha": 1.0}, "n"),
+            ("wedge_psi_np", {k: v for k, v in wedge.items() if k != "layout"},
+             "layout"),
+            ("wedge_psi_np", {k: v for k, v in wedge.items() if k != "beta"},
+             "beta")):
+        with pytest.raises(ValueError, match=f"missing parameters.*'{key}'"):
+            forms.sample_test_function(m, family, params)
+    bad = [("deformation_fn", {"alpha": 1.0}, "n", v) for v in (0.0, -1.0, np.nan)]
+    bad += [("deformation_fn", {"n": 1.0}, "alpha", v) for v in (np.inf, "x", None)]
+    bad += [("wedge_psi_np", wedge, key, v) for key, values in (
+        ("n", (0.0, -1.0, np.inf)), ("beta", (0.0, -2.0, np.nan)),
+        ("center", (np.nan, "x")), ("p", (np.inf,)), ("angle", (np.nan,)),
+        ("upper", (np.inf,)), ("ray_length", (np.nan,))) for v in values]
+    for family, params, key, value in bad:
+        with pytest.raises(ValueError, match=f"parameter '{key}' must be"):
+            forms.sample_test_function(m, family, {**params, key: value})
 
 
 def test_export_matrix_roundtrip():
@@ -234,8 +256,7 @@ def test_jump_coupling_against_edge_loop():
     got = forms.form_value(bf, f) - forms.form_value(stiff, f)
     assert got == pytest.approx(expect, rel=1e-12)
     local = experiments._broken_rayleigh_local(
-        m, forms.broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles),
-        forms.jump_coupling(m, d.beta, sub_node_dof), f)
+        m, sub_node_dof, forms.jump_coupling(m, d.beta, sub_node_dof), f)
     assert local == pytest.approx(forms.rayleigh(bf, f), rel=1e-12)
 
 
@@ -266,9 +287,76 @@ def test_wedge_local_quotient_of_complex_vector():
         "upper": 1, "ray_length": R})
     assert np.max(np.abs(psi.imag)) > 0.1
     local = experiments._broken_rayleigh_local(
-        m, forms.broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles),
-        forms.jump_coupling(m, d.beta, sub_node_dof), psi)
+        m, sub_node_dof, forms.jump_coupling(m, d.beta, sub_node_dof), psi)
     assert local == pytest.approx(forms.rayleigh(bf, psi), rel=1e-12)
+
+
+def _wedge_psi_full_box(m, dof_node, dof_subdomain, n, p, beta, center,
+                        angle, upper, ray_length):
+    """wedge_psi_np evaluated on every broken dof of the box: the reference
+    for the support-only sampler, with the same expressions in the same
+    operand order."""
+    R = m.box_radius
+    ct, st = np.cos(angle), np.sin(angle)
+    nx = m.nodes[dof_node]
+    xr = nx[:, 0] * ct + nx[:, 1] * st
+    yr = -nx[:, 0] * st + nx[:, 1] * ct
+    tol = 1e-12 * max(R, 1.0)
+    sign = np.where(yr > tol, 1.0, np.where(yr < -tol, -1.0,
+                    np.where(dof_subdomain == upper, 1.0, -1.0)))
+    return (1.0 / np.sqrt(n)) * forms.bump(np.abs(xr - center) / n) \
+        * forms.bump(np.abs(yr) / n) * sign * np.exp(-2.0 * np.abs(yr) / beta) \
+        * np.exp(1j * p * xr)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.7])
+def test_wedge_psi_matches_the_full_box_formula(momentum):
+    """Sampling only the support changes no nonzero entry by a bit and no
+    zero's position; outside the support every entry is +0."""
+    phi, R = 3.0 * np.pi / 4.0, 40.0
+    _, m = mesh.canonical_mesh("wedge", {"phi": phi}, R, 5)
+    dof_node, dof_sub, _ = forms.broken_dof_layout(m)
+    for n in (2.0, 4.0, 8.0):
+        params = {"n": n, "p": momentum, "beta": 2.0, "center": 2.0 * n + 4.0,
+                  "angle": np.pi / 2.0 - phi / 2.0, "upper": 1, "ray_length": R}
+        got = forms.sample_test_function(
+            m, "wedge_psi_np", {"layout": (dof_node, dof_sub), **params})
+        want = _wedge_psi_full_box(m, dof_node, dof_sub, **params)
+        zero = want == 0
+        assert 0 < zero.sum() < zero.size
+        assert np.array_equal(got == 0, zero)
+        bits = got.view(np.float64).view(np.uint64).reshape(-1, 2)
+        want_bits = want.view(np.float64).view(np.uint64).reshape(-1, 2)
+        assert np.array_equal(bits[~zero], want_bits[~zero])
+        assert not bits[zero].any()
+
+
+def test_wedge_quotient_memory_is_bounded():
+    """The traced peak of the quotient phase on a prebuilt wedge mesh at
+    R = 140, L7 (the layout, the jump coupling, three samples and their
+    quotients) stays within 4.5x the bytes of the mesh triangles: about 4x
+    when broken dofs are looked up only near each support, about 4.8x when
+    the broken dofs of every triangle are built."""
+    phi, beta, R = 3.0 * np.pi / 4.0, 2.0, 140.0
+    p, m = mesh.canonical_mesh("wedge", {"phi": phi}, R, 7)
+    d = geometry.InteractionData.uniform(p, 0.0, beta)
+    tracemalloc.start()
+    try:
+        dof_node, dof_sub, sub_node_dof = forms.broken_dof_layout(m)
+        jump = forms.jump_coupling(m, d.beta, sub_node_dof)
+        for n in (8.0, 16.0, 32.0):
+            psi = forms.sample_test_function(m, "wedge_psi_np", {
+                "layout": (dof_node, dof_sub), "n": n, "beta": beta,
+                "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0,
+                "upper": 1, "ray_length": R})
+            experiments._broken_rayleigh_local(m, sub_node_dof, jump, psi)
+            del psi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / m.triangles.nbytes
+    assert ratio <= 4.5, f"quotient phase peak {ratio:.2f}x the triangle bytes"
+
 
 def test_subdomain_robin_zero_gamma_is_stiffness():
     """gamma = 0 leaves the Neumann stiffness of the subdomain, whose
