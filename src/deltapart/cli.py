@@ -17,9 +17,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Union
 
-import numpy as np
-
 from . import closedform, eigen, experiments, forms, geometry, mesh
+from .geometry import BOOL, FINITE, POSITIVE, _param, array_of, whole
 
 __all__ = ["Config", "SolverConfig", "ConfigError", "parse_config",
            "main", "entry"]
@@ -82,134 +81,70 @@ class Config:
 # config parsing
 
 
-def _typename(x) -> str:
-    return type(x).__name__
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 
-def _number(obj, path, default=None, required=False, positive=False):
-    if path.split(".")[-1] not in obj and not required:
-        return default
-    key = path.split(".")[-1]
-    if key not in obj:
-        raise ConfigError(f"{path}: missing required field")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {_typename(v)}")
-    if positive and not v > 0:
-        raise ConfigError(f"{path}: must be strictly positive, got {v}")
-    return float(v)
-
-
-def _strength(obj, key, default, positive):
-    """Scalar or {interface id: value}; betas must be strictly positive."""
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, dict):
-        out = {}
-        for k, val in v.items():
-            try:
-                iid = int(k)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}.{k}: interface id must be an integer")
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(
-                    f"{key}.{k}: expected a number, got {_typename(val)}")
-            if positive and not val > 0:
-                raise ConfigError(f"{key}: beta must be strictly positive "
-                                  f"(interface {iid}: {val})")
-            out[iid] = float(val)
-        if not out:
-            raise ConfigError(f"{key}: per-interface map may not be empty")
-        return out
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key}: expected a number or map, got {_typename(v)}")
-    if positive and not v > 0:
-        raise ConfigError("beta must be strictly positive")
-    return float(v)
-
-
-_SOLVER_KEYS = {"k", "tol", "seed", "deterministic"}
-_TOP_KEYS = {"geometry", "box_radius", "levels", "bc", "alpha", "beta",
-             "threshold", "solver", "experiment"}
-
-
-def _parse_solver(obj) -> SolverConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"solver: expected an object, got {_typename(obj)}")
-    for key in obj:
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"solver.{key}: unknown field")
-    k = obj.get("k", 6)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ConfigError(f"solver.k: expected a positive integer, got {k!r}")
-    tol = _number(obj, "solver.tol", default=1e-8, positive=True)
-    seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"solver.seed: expected an integer, got {seed!r}")
-    det = obj.get("deterministic", False)
-    if not isinstance(det, bool):
-        raise ConfigError(
-            f"solver.deterministic: expected a boolean, got {_typename(det)}")
-    return SolverConfig(k=k, tol=tol, seed=seed, deterministic=det)
+def _strength(obj, key, kind):
+    """A scalar, or a map {interface id: value} with every value of kind."""
+    if not isinstance(obj.get(key), dict):
+        return float(_param(obj, key, 1.0, kind, key))
+    values = obj.pop(key)
+    if not values:
+        raise ValueError(f"{key}: per-interface map may not be empty")
+    out = {}
+    for k in list(values):
+        try:
+            iid = int(k)
+        except ValueError:
+            raise ValueError(f"{key}.{k}: interface id must be an integer")
+        out[iid] = float(_param(values, k, None, kind, f"{key}.{k}"))
+    return out
 
 
 def parse_config(text: str) -> Config:
-    """Validate a JSON config document; scalars broadcast to all interfaces."""
+    """Validate a JSON config document; scalars broadcast to all interfaces.
+    Every value is read by geometry._param, and every ValueError becomes a
+    ConfigError naming the field."""
     try:
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be an object, got {obj!r}")
+        for key in ("geometry", "box_radius", "levels"):
+            if key not in obj:
+                raise ValueError(f"{key}: missing required field")
+        geo = _param(obj, "geometry", None, _OBJECT, "geometry")
+        names = geometry.CANONICAL_NAMES
+        name = _param(geo, "name", None, (lambda v: v in names,
+                                          f"one of {list(names)}"),
+                      "geometry.name")
+        params = _param(geo, "params", {}, _OBJECT, "geometry.params")
+        solver = _param(obj, "solver", {}, _OBJECT, "solver")
+        cfg = Config(
+            geometry_name=name, geometry_params=params,
+            box_radius=float(_param(obj, "box_radius", None, POSITIVE,
+                                    "box_radius")),
+            levels=_param(obj, "levels", None, whole(0), "levels"),
+            bc=_param(obj, "bc", "dirichlet",
+                      (lambda v: v in ("dirichlet", "neumann"),
+                       "'dirichlet' or 'neumann'"), "bc"),
+            alpha=_strength(obj, "alpha", FINITE),
+            beta=_strength(obj, "beta", POSITIVE),
+            threshold=float(_param(obj, "threshold", 0.0, FINITE, "threshold")),
+            solver=SolverConfig(
+                k=_param(solver, "k", 6, whole(1), "solver.k"),
+                tol=float(_param(solver, "tol", 1e-8, POSITIVE, "solver.tol")),
+                seed=_param(solver, "seed", 0, whole(0), "solver.seed"),
+                deterministic=_param(solver, "deterministic", False, BOOL,
+                                     "solver.deterministic")),
+            experiment=_param(obj, "experiment", {}, _OBJECT, "experiment"))
+        for prefix, rest in (("geometry.", geo), ("solver.", solver), ("", obj)):
+            if rest:
+                raise ValueError(f"{prefix}{next(iter(rest))}: unknown field")
+        return cfg
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config: expected an object, got {_typename(obj)}")
-    for key in obj:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"{key}: unknown field")
-
-    if "geometry" not in obj:
-        raise ConfigError("geometry: missing required field")
-    geo = obj["geometry"]
-    if not isinstance(geo, dict):
-        raise ConfigError(f"geometry: expected an object, got {_typename(geo)}")
-    for key in geo:
-        if key not in ("name", "params"):
-            raise ConfigError(f"geometry.{key}: unknown field")
-    name = geo.get("name")
-    if not isinstance(name, str):
-        raise ConfigError("geometry.name: missing or not a string")
-    if name not in geometry.CANONICAL_NAMES:
-        raise ConfigError(f"geometry.name: unknown geometry {name!r}, expected "
-                          f"one of {list(geometry.CANONICAL_NAMES)}")
-    params = geo.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(
-            f"geometry.params: expected an object, got {_typename(params)}")
-
-    box_radius = _number(obj, "box_radius", required=True, positive=True)
-    if "levels" not in obj:
-        raise ConfigError("levels: missing required field")
-    levels = obj["levels"]
-    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 0:
-        raise ConfigError(
-            f"levels: expected a non-negative integer, got {levels!r}")
-
-    bc = obj.get("bc", "dirichlet")
-    if bc not in ("dirichlet", "neumann"):
-        raise ConfigError(f"bc: expected 'dirichlet' or 'neumann', got {bc!r}")
-
-    alpha = _strength(obj, "alpha", 1.0, positive=False)
-    beta = _strength(obj, "beta", 1.0, positive=True)
-    threshold = _number(obj, "threshold", default=0.0)
-    solver = _parse_solver(obj.get("solver", {}))
-    experiment = obj.get("experiment", {})
-    if not isinstance(experiment, dict):
-        raise ConfigError(
-            f"experiment: expected an object, got {_typename(experiment)}")
-
-    return Config(geometry_name=name, geometry_params=params,
-                  box_radius=box_radius, levels=levels, bc=bc,
-                  alpha=alpha, beta=beta, threshold=threshold, solver=solver,
-                  experiment=experiment)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -315,38 +250,47 @@ def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
 
 
 def _closed_form_payload(name: str, params) -> Dict:
-    def need(n):
-        if len(params) != n:
-            raise ConfigError(f"closed-form {name} takes {n} parameter(s), "
-                              f"got {len(params)}")
-        try:
-            return [float(v) for v in params]
-        except ValueError:
-            raise ConfigError(f"closed-form {name}: parameters must be numbers")
+    def need(optional=0, **kinds):
+        """The parameters, read as integers or floats and checked by name;
+        the last `optional` of them may be left out."""
+        if not len(kinds) - optional <= len(params) <= len(kinds):
+            raise ConfigError(f"closed-form {name} takes {len(kinds)} "
+                              f"parameter(s), got {len(params)}")
+        args = {}
+        for key, text in zip(kinds, params):
+            for parse in (int, float, str):
+                try:
+                    args[key] = parse(text)
+                    break
+                except ValueError:
+                    pass
+        return [_param(args, key, None, kinds[key], f"closed-form {name} {key}")
+                for key in list(args)]
 
     if name == "halfplane-bottoms":
-        a, b = need(2)
+        a, b = map(float, need(alpha=POSITIVE, beta=POSITIVE))
         da, db = closedform.halfplane_bottoms(a, b)
         return {"values": [da, db], "delta": da, "delta_prime": db}
     if name == "wedge-trace":
-        vals = need(2) if len(params) == 2 else need(3)
+        gamma, phi, *flag = need(1, gamma=POSITIVE, phi=POSITIVE,
+                                 bisector=(lambda v: v in (0, 1), "0 or 1"))
         bound = closedform.wedge_trace_bound(
-            vals[0], vals[1], vanishing_on_bisector=bool(vals[2:] and vals[2]))
+            float(gamma), float(phi), vanishing_on_bisector=flag == [1])
         return {"values": [bound], "bound": bound}
     if name == "star-delta":
-        (a,) = need(1)
-        v = closedform.star_delta_bottom(a)
+        (a,) = need(alpha=POSITIVE)
+        v = closedform.star_delta_bottom(float(a))
         return {"values": [v], "bottom": v}
     if name == "edge-constant":
-        (chi,) = need(1)
-        v = geometry.edge_constant(int(chi))
+        (chi,) = need(chi=whole(2))
+        v = geometry.edge_constant(chi)
         return {"values": [v], "edge_constant": v}
     if name == "interval":
-        b, l = need(2)
+        b, l = map(float, need(beta=POSITIVE, l=POSITIVE))
         r = closedform.interval_delta_prime(b, l)
         return {"values": [r.epsilon], **asdict(r)}
     if name == "minimax":
-        need(0)
+        need()
         r = closedform.minimax_star()
         return {"values": [r.value], **asdict(r)}
     raise ConfigError(
@@ -383,20 +327,18 @@ _CONFIG_FIELDS = {
 }
 
 
-def _like(value, default) -> bool:
-    """Whether an override has the JSON type of the parameter's default:
-    an integer for int, a number for float, a non-empty array of such
-    items for a tuple, an object or null for None."""
+def _override_kind(default):
+    """The kind an experiment override must have: the JSON type of the
+    parameter's default, each item's where it is a tuple."""
     if default is None:
-        return value is None or isinstance(value, dict)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return (lambda v: v is None or isinstance(v, dict), "an object or null")
     if isinstance(default, tuple):
-        return (isinstance(value, list) and len(value) > 0
-                and all(_like(v, default[0]) for v in value))
-    return isinstance(value, type(default))
+        return array_of(_override_kind(default[0]))
+    if isinstance(default, float):
+        return FINITE
+    if type(default) is int:
+        return whole(0)
+    return (lambda v: type(v) is type(default), f"of the type of {default!r}")
 
 
 def _experiment_args(cfg: Config, fn) -> inspect.BoundArguments:
@@ -408,16 +350,13 @@ def _experiment_args(cfg: Config, fn) -> inspect.BoundArguments:
     kw = {name: get(cfg) for name, (_, get) in _CONFIG_FIELDS.items()
           if name in params}
     # free-form per-experiment overrides, checked against the signature
-    for key, val in cfg.experiment.items():
+    overrides = dict(cfg.experiment)
+    for key in cfg.experiment:
         if key not in params:
             raise ConfigError(
                 f"experiment.{key}: unknown parameter for this experiment")
-        default = params[key].default
-        if not _like(val, default):
-            raise ConfigError(
-                f"experiment.{key}: {val!r} does not match the type of the "
-                f"default {experiments.jsonable(default)!r}")
-        kw[key] = val
+        kw[key] = _param(overrides, key, None,
+                         _override_kind(params[key].default), f"experiment.{key}")
     bound = sig.bind(**kw)
     bound.apply_defaults()
     return bound

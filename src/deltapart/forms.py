@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import InteractionData, PhaseAssignment
+from .geometry import (FINITE, POSITIVE, InteractionData, PhaseAssignment,
+                       _param, whole)
 from .mesh import Mesh, coarsen
 
 __all__ = [
@@ -402,20 +403,6 @@ _FAMILY_KEYS = {
 FAMILIES = tuple(_FAMILY_KEYS)
 
 
-def _number(params: dict, key: str, default=None, positive: bool = False) -> float:
-    """params[key], or default when absent, as a finite float (> 0 when
-    positive); anything else raises ValueError naming the key."""
-    value = params.get(key, default)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = float("nan")
-    if not np.isfinite(x) or (positive and x <= 0.0):
-        kind = "a positive" if positive else "a finite"
-        raise ValueError(f"parameter {key!r} must be {kind} number, got {value!r}")
-    return x
-
-
 def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     """Nodal interpolation of an analytic family. deformation_fn returns one
     value per node, bump(x / n) exp(-alpha |y| / 2); wedge_psi_np returns a
@@ -425,8 +412,9 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     with sx = |xr - center| / n < 2 and sy = |yr| / n < 2, the same test as
     `bump`'s s >= 2 cut.  Every other entry is +0.
 
-    A missing needed key, a key the family does not read, n <= 0, beta <= 0
-    or a number that is not finite raises ValueError naming the key."""
+    A missing needed key, a key the family does not read, n <= 0, beta <= 0,
+    a number that is not finite or an upper id that is not a whole number
+    >= 1 raises ValueError naming the key."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     needed, optional = _FAMILY_KEYS[family]
@@ -441,20 +429,25 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     x = m.nodes[:, 0]
     y = m.nodes[:, 1]
     R = m.box_radius
-    n = _number(params, "n", positive=True)
+    params = dict(params)
+
+    def number(key, kind=FINITE, default=None):
+        return float(_param(params, key, default, kind, f"parameter {key!r}"))
+
+    n = number("n", POSITIVE)
     if family == "deformation_fn":
-        alpha = _number(params, "alpha")
+        alpha = number("alpha")
         if 2.0 * n > R:
             raise ValueError("cutoff support exceeds the box")
         return bump(x / n) * np.exp(-0.5 * alpha * np.abs(y))
     # wedge_psi_np: broken, complex, sign flip across the interface ray
     dof_node, dof_subdomain = params["layout"]
-    p = _number(params, "p", 0.0)
-    beta = _number(params, "beta", positive=True)
-    center = _number(params, "center")
-    angle = _number(params, "angle", 0.0)
-    upper = int(_number(params, "upper", 1))
-    ray_length = _number(params, "ray_length", R)
+    p = number("p", default=0.0)
+    beta = number("beta", POSITIVE)
+    center = number("center")
+    angle = number("angle", default=0.0)
+    upper = _param(params, "upper", 1, whole(1), "parameter 'upper'")
+    ray_length = number("ray_length", default=R)
     if center - 2.0 * n < 0.0 or center + 2.0 * n > ray_length:
         raise ValueError("cutoff support exceeds the interface ray")
     ct, st = np.cos(angle), np.sin(angle)

@@ -452,40 +452,55 @@ def _grid_chi4(R: float) -> _Cells:
     )
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+# ---------------------------------------------------------------------------
+# checked reading of values from outside: config fields, overrides,
+# geometry and test-function params, closed-form arguments.  A kind is a
+# pair (predicate, what); every number kind also demands a finite value.
+# ---------------------------------------------------------------------------
+
+def _finite(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
-def _is_positive(v) -> bool:
-    return _is_real(v) and v > 0
+FINITE = (_finite, "a finite number")
+POSITIVE = (lambda v: _finite(v) and v > 0, "strictly positive")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+
+
+def whole(least: int):
+    return (lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool) and v >= least,
+            f"a whole number >= {least}")
+
+
+def array_of(kind):
+    ok, what = kind
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+            and all(map(ok, v)), f"a non-empty array, each item {what}")
 
 
 def _is_points(v) -> bool:
     try:
-        return all(len(pt) == 2 and all(map(_is_real, pt)) for pt in v)
+        return all(len(pt) == 2 and all(map(_finite, pt)) for pt in v)
     except TypeError:
         return False
 
 
-def _param(params: dict, key: str, default, ok, expected: str):
-    """Pop params[key] (or default) and check it, naming the key if bad."""
+POINTS = (_is_points, "a list of finite [x, y] points")
+
+
+def _param(params: dict, key: str, default, kind, label: str | None = None):
+    """Pop params[key] (or default) and check it against kind; a bad value
+    raises ValueError "<label> must be <what>, got <value!r>", the label
+    being "geometry parameter '<key>'" unless given."""
     v = params.pop(key, default)
+    ok, what = kind
     if not ok(v):
-        raise ValueError(f"geometry parameter {key!r}: expected {expected}, "
-                         f"got {v!r}")
+        if label is None:
+            label = f"geometry parameter {key!r}"
+        raise ValueError(f"{label} must be {what}, got {v!r}")
     return v
-
-
-def _count(params: dict, key: str, default: int, least: int) -> int:
-    return int(_param(params, key, default,
-                      lambda v: isinstance(v, numbers.Integral)
-                      and not isinstance(v, bool) and v >= least,
-                      f"an integer >= {least}"))
-
-
-def _points(params: dict, key: str, default) -> np.ndarray:
-    v = _param(params, key, default, _is_points, "a list of [x, y] points")
-    return np.asarray(v, dtype=float).reshape(-1, 2)
 
 
 def build_canonical_partition(name: str, params: dict | None = None) -> Partition:
@@ -493,33 +508,33 @@ def build_canonical_partition(name: str, params: dict | None = None) -> Partitio
     if name not in CANONICAL_NAMES:
         raise ValueError(f"unknown canonical partition {name!r}; "
                          f"expected one of {CANONICAL_NAMES}")
-    R = float(_param(params, "box_radius", 8.0, _is_positive, "a positive number"))
+    R = float(_param(params, "box_radius", 8.0, POSITIVE))
     if name == "half_plane":
         pool, subs = _half_plane(R)
     elif name == "wedge":
-        phi = _param(params, "phi", 2 * math.pi / 3, _is_real, "a number")
-        pool, subs = _wedge(R, float(phi))
+        phi = float(_param(params, "phi", 2 * math.pi / 3, FINITE))
+        pool, subs = _wedge(R, phi)
     elif name == "star3":
         pool, subs = _star3(R)
     elif name == "line_with_bump":
         default = [(-1.0, 1.0), (1.0, 1.0), (1.0, 3.0), (-1.0, 3.0)]
-        pool, subs = _line_with_bump(R, _points(params, "bump", default))
+        pool, subs = _line_with_bump(R, _param(params, "bump", default, POINTS))
     elif name == "island":
         if "polygon" in params:
-            poly = _points(params, "polygon", None)
+            poly = _param(params, "polygon", None, POINTS)
         else:
-            r = float(_param(params, "radius", 3.0, _is_positive, "a positive number"))
-            ngon = _count(params, "sides", 16, 3)
+            r = float(_param(params, "radius", 3.0, POSITIVE))
+            ngon = _param(params, "sides", 16, whole(3))
             ang = 2 * math.pi * np.arange(ngon) / ngon
             poly = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
         pool, subs = _island_partition(R, poly)
     else:  # grid
-        if _param(params, "variant", None, lambda v: v in (None, "chi4"),
-                  "'chi4'") == "chi4":
+        if _param(params, "variant", None,
+                  (lambda v: v in (None, "chi4"), "'chi4'")) == "chi4":
             pool, subs = _grid_chi4(R)
         else:
-            pool, subs = _grid(R, _count(params, "rows", 2, 1),
-                               _count(params, "cols", 2, 1))
+            pool, subs = _grid(R, _param(params, "rows", 2, whole(1)),
+                               _param(params, "cols", 2, whole(1)))
     if params:
         raise ValueError(f"unknown parameters {sorted(params)} for geometry {name!r}")
     v = pool.array()

@@ -80,6 +80,22 @@ def test_closed_form_minimax_json(capsys):
     assert abs(d["value"] - 5.208629910822016) < 1e-11
 
 
+@pytest.mark.parametrize("params,argument", [
+    (["halfplane-bottoms", "nan", "1"], "alpha"),
+    (["star-delta", "inf"], "alpha"),
+    (["edge-constant", "2.5"], "chi"),      # not truncated to chi = 2
+    (["edge-constant", "inf"], "chi"),
+    (["wedge-trace", "1", "1", "nan"], "bisector"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_closed_form_bad_arguments(capsys, params, argument):
+    """Each ends in exit 1 naming the argument, not a number or a
+    traceback."""
+    assert cli.main(["closed-form", *params]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: closed-form {params[0]} {argument} ")
+
+
 def test_closed_form_unknown_name(capsys):
     assert cli.main(["closed-form", "zeta"]) == 1
     assert "unknown closed-form" in capsys.readouterr().err
@@ -126,6 +142,9 @@ def test_solver_max_iter_rejected(tmp_path, capsys):
     ("grid", "variant", "chi3"),
     ("grid", "rows", 2.5),
     ("star3", "box_radius", 10),
+    ("island", "radius", math.inf),
+    ("wedge", "phi", math.inf),
+    ("line_with_bump", "bump", [[math.nan, 1], [1, 1], [1, 3], [-1, 3]]),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_malformed_geometry_params(tmp_path, capsys, name, key, value):
     """Each ends in a named error and exit 1, not a traceback or another
@@ -136,6 +155,29 @@ def test_malformed_geometry_params(tmp_path, capsys, name, key, value):
     assert cli.main(["partition", "info", "--config", str(f)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("command,field,config", [
+    ("spectrum", "solver.tol", {"solver": {"k": 1, "tol": math.inf}}),
+    ("spectrum", "threshold", {"threshold": math.nan}),
+    ("spectrum", "alpha", {"alpha": math.nan}),
+    ("spectrum", "beta.1", {"beta": {"1": math.nan}}),
+    ("spectrum", "box_radius", {"box_radius": math.inf}),
+    ("verify", "experiment.alpha", {"experiment": {"alpha": math.nan}}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_non_finite_config_values_rejected(tmp_path, capsys, command, field,
+                                           config):
+    """json.loads accepts the NaN and Infinity tokens; each such value ends
+    in exit 1 naming its field, not in a count, a verdict or a solver
+    error."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"geometry": {"name": "half_plane"},
+                             "box_radius": 4, "levels": 1, **config}))
+    argv = (["spectrum", "--operator", "delta"] if command == "spectrum"
+            else ["verify", "ordering"])
+    assert cli.main([*argv, "--config", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
 
 
 @pytest.fixture
