@@ -154,12 +154,12 @@ _STALL = 0.25
 _COUNT_ROWS = 128
 
 
-def _sturm_count(d, e2, xs, m=None):
-    """Number of eigenvalues of the tridiagonal matrix strictly below each x.
+def _sturm_count(d, e2, xs, m=0):
+    """(counts, s): the number of eigenvalues of the tridiagonal matrix
+    strictly below each x, and the Newton sums of the first m points.
 
-    Given m, it returns (counts, s), where s holds the Newton sums
-    S(x) = d/dx log|det(T - x)| = sum_i q_i'/q_i of the first m points.  They
-    come from the derivative of the pivot recurrence,
+    s holds S(x) = d/dx log|det(T - x)| = sum_i q_i'/q_i.  The sums come
+    from the derivative of the pivot recurrence,
     q_i' = -1 + e2_{i-1} q_{i-1}' / q_{i-1}^2, carried as u_i = q_i'/q_i:
     u_i = (t u_{i-1} - 1) / q_i with t = e2_{i-1} / q_{i-1}.  A pivot that
     vanishes makes S infinite or nan; the caller checks it.
@@ -178,8 +178,7 @@ def _sturm_count(d, e2, xs, m=None):
     t = np.empty_like(q)
     np.less(q, 0.0, out=neg[0])
     dl, e2l = (d + 0.0).tolist(), e2.tolist()
-    newton = m is not None
-    qm, tm = q[:m or 0], t[:m or 0]
+    qm, tm = q[:m], t[:m]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = np.divide(-1.0, qm)
         s = u.copy()
@@ -190,19 +189,16 @@ def _sturm_count(d, e2, xs, m=None):
                     np.divide(e2l[i - 1], q, out=t)
                     np.subtract(dl[i], xs, out=q)
                     q -= t
-                    if newton:
-                        u *= tm
-                        u -= 1.0
-                        u /= qm
+                    u *= tm
+                    u -= 1.0
+                    u /= qm
                 else:
                     np.subtract(dl[i], xs, out=q)
-                    if newton:
-                        np.divide(-1.0, qm, out=u)
+                    np.divide(-1.0, qm, out=u)
                 np.less(q, 0.0, out=rows[i - i0])
-                if newton:
-                    s += u
+                s += u
             count += np.count_nonzero(rows, axis=0)
-    return (count, s) if newton else count
+    return count, s
 
 
 def tridiag_eigenvalues(d, e):

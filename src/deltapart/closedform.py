@@ -34,9 +34,14 @@ PRINTED_MINIMAX_VALUE = ((12.0 * SQ3 - 2.0) / 9.0) ** 2
 PRINTED_C_STAR = 4.0 - 2.0 * SQ3 / 9.0
 
 
+def _positive(*xs) -> bool:
+    """Whether each x is finite and strictly positive (NaN is not)."""
+    return all(0.0 < x < math.inf for x in xs)
+
+
 def halfplane_bottoms(alpha: float, beta: float) -> tuple[float, float]:
     """Spectral bottoms for a straight-line interface: (-alpha^2/4, -4/beta^2)."""
-    if alpha <= 0.0 or beta <= 0.0:
+    if not _positive(alpha, beta):
         raise ValueError("strengths must be positive")
     return -alpha * alpha / 4.0, -4.0 / (beta * beta)
 
@@ -47,7 +52,7 @@ def wedge_trace_bound(gamma: float, phi: float,
     opening phi (both rays carry the boundary term): -gamma^2/sin^2(phi/2),
     or -gamma^2 when f vanishes on the bisector (the bound then loses its
     angle dependence)."""
-    if gamma <= 0.0:
+    if not _positive(gamma):
         raise ValueError("gamma must be positive")
     if not 0.0 < phi <= math.pi:
         raise ValueError("opening angle must lie in (0, pi]")
@@ -58,7 +63,7 @@ def wedge_trace_bound(gamma: float, phi: float,
 
 
 def star_delta_bottom(alpha: float) -> float:
-    if alpha <= 0.0:
+    if not _positive(alpha):
         raise ValueError("alpha must be positive")
     return -alpha * alpha / 3.0
 
@@ -67,7 +72,7 @@ def m_functions(omega: float, t: float) -> tuple[float, float]:
     """The two competing quadratic bounds of the star estimate."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
-    if t <= 0.0:
+    if not _positive(t):
         raise ValueError("t must be positive")
     return _m12(omega, t)
 
@@ -175,7 +180,7 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
     the natural conditions at 0 (continuous derivative, u' = jump/beta)
     reduce to beta*k = 2*coth(k*l), solved by bracketed root finding.
     """
-    if beta <= 0.0 or l <= 0.0:
+    if not _positive(beta, l):
         raise ValueError("beta and l must be positive")
 
     def g(k):
@@ -226,7 +231,7 @@ def interval_fem_oracle(beta: float, l: float, n_elems: int = 10000) -> float:
     """Independent check of interval_delta_prime: smallest eigenvalue of the
     broken 1D P1 discretization.  Deterministic: the Lanczos start vector
     comes from a fixed seed."""
-    if beta <= 0.0 or l <= 0.0:
+    if not _positive(beta, l):
         raise ValueError("beta and l must be positive")
     if n_elems < 4:
         raise ValueError("need at least 4 elements")
@@ -244,7 +249,7 @@ def abc_inequality_check(theta, eta, omega: float, t: float):
     against (4 - omega(1-t)) sum||theta||^2 + (4 + 3 omega/t) sum||eta||^2."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
-    if t <= 0.0:
+    if not _positive(t):
         raise ValueError("t must be positive")
     th = [np.asarray(v, dtype=float) for v in theta]
     et = [np.asarray(v, dtype=float) for v in eta]

@@ -242,11 +242,10 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
 # essential-spectrum thresholds on growing boxes
 # ---------------------------------------------------------------------------
 
-def _broken_rayleigh_local(m: mesh.Mesh, sub_node_dof, jump,
-                           f: np.ndarray) -> float:
+def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     """Broken-form Rayleigh quotient of a full broken vector, assembled only
     over elements meeting the support of f (identical to the value on the
-    fully assembled Neumann form).  sub_node_dof is the layout map of
+    fully assembled Neumann form).  table is the dof table of
     `forms.broken_dof_layout` and jump the (dofs, local matrices) of
     `forms.jump_coupling`; neither depends on f, so a caller with several
     vectors builds them once.  Broken dofs are looked up only for the
@@ -254,12 +253,10 @@ def _broken_rayleigh_local(m: mesh.Mesh, sub_node_dof, jump,
     of those, the triangles with a nonzero entry among their own dofs are
     kept, in ascending order."""
     nz = np.abs(f) > 0.0
-    marked = np.zeros(m.n_nodes, dtype=bool)
-    for lut in sub_node_dof.values():
-        marked |= (lut >= 0) & nz[lut]
+    marked = ((table >= 0) & nz[table]).any(axis=0)
     tris = m.triangles
     cand = np.flatnonzero(marked[tris[:, 0]] | marked[tris[:, 1]] | marked[tris[:, 2]])
-    tri_dofs = forms.broken_dofs(sub_node_dof, m.tri_subdomain[cand], tris[cand])
+    tri_dofs = table[m.tri_subdomain[cand, None], tris[cand]]
     active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
     tl = tri_dofs[active]
     stiff, mass, _ = _kernels.p1_elements(

@@ -133,11 +133,12 @@ def _edge_coupling(dofs, weight, length, pattern):
     return dofs[keep], t[:, None, None] * pattern
 
 
-def jump_coupling(m: Mesh, beta: Dict[int, float], sub_node_dof):
-    """Broken dofs (a_k, b_k, a_l, b_l) and local matrices of the
-    beta-inverse-weighted edge mass of the trace jump, per interface edge."""
+def jump_coupling(m: Mesh, beta: Dict[int, float], table):
+    """Broken dofs (a_k, b_k, a_l, b_l), from the dof table of
+    `broken_dof_layout`, and local matrices of the beta-inverse-weighted
+    edge mass of the trace jump, per interface edge."""
     kl, ab = m.iface_edge_kl, m.iface_edge_nodes
-    dofs = broken_dofs(sub_node_dof, np.repeat(kl, 2, axis=1), np.tile(ab, (1, 2)))
+    dofs = table[kl[:, [0, 0, 1, 1]], ab[:, [0, 1, 0, 1]]]
     return _edge_coupling(dofs, 1.0 / _edge_weights(m, beta),
                           m.iface_edge_length, _JUMP_MASS)
 
@@ -246,47 +247,27 @@ def assemble_delta(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> Discre
 
 def broken_dof_layout(m: Mesh):
     """Full broken layout: dofs blocked by subdomain id, nodes sorted within
-    (the nodes of a subdomain's triangles, marked and read back in order,
-    which is np.unique of those triangles in linear time).
+    (the (subdomain, node) pairs of the triangles, marked and read back in
+    row-major order, which is np.unique per subdomain in linear time).
 
-    Returns (dof_node, dof_subdomain, sub_node_dof) where sub_node_dof maps
-    subdomain id -> array of length n_nodes with dof index or -1."""
-    dof_node = []
-    dof_sub = []
-    sub_node_dof: Dict[int, np.ndarray] = {}
-    offset = 0
-    for sid in (int(s) for s in m.subdomain_ids()):
-        on = np.zeros(m.n_nodes, dtype=bool)
-        on[m.triangles[m.tri_subdomain == sid]] = True
-        nodes = np.flatnonzero(on)
-        lut = np.full(m.n_nodes, -1, dtype=np.int64)
-        lut[nodes] = offset + np.arange(nodes.size)
-        sub_node_dof[sid] = lut
-        dof_node.append(nodes)
-        dof_sub.append(np.full(nodes.size, sid, dtype=np.int64))
-        offset += nodes.size
-    return np.concatenate(dof_node), np.concatenate(dof_sub), sub_node_dof
-
-
-def broken_dofs(sub_node_dof, sids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Broken dofs of nodes in the given subdomains, for the sub_node_dof
-    of `broken_dof_layout`; sids has the shape of nodes or of its leading
-    axis (one subdomain per row, e.g. per triangle)."""
-    ids = np.fromiter(sub_node_dof, dtype=np.int64)
-    row = np.zeros(ids.max() + 1, dtype=np.int64)
-    row[ids] = np.arange(ids.size)
-    row = row[sids]
-    return np.stack(list(sub_node_dof.values()))[
-        row.reshape(row.shape + (1,) * (nodes.ndim - row.ndim)), nodes]
+    Returns (dof_node, dof_subdomain, table) where table[sid, node] is the
+    dof of node in subdomain sid, or -1; it has a row for every id from 0
+    to the largest.  A negative id raises ValueError."""
+    on = np.zeros((m.subdomain_ids()[-1] + 1, m.n_nodes), dtype=bool)
+    on[m.tri_subdomain[:, None], m.triangles] = True
+    dof_subdomain, dof_node = np.nonzero(on)
+    table = np.full(on.shape, -1, dtype=np.int64)
+    table[on] = np.arange(dof_node.size)
+    return dof_node, dof_subdomain, table
 
 
 def assemble_delta_prime(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> DiscreteForm:
     """Broken P1 form: per-subdomain stiffness blocks minus the
     beta-inverse-weighted edge mass of the trace jump across interfaces."""
     _check_bc(bc)
-    dof_node, dof_sub, sub_node_dof = broken_dof_layout(m)
-    jd, jl = jump_coupling(m, d.beta, sub_node_dof)
-    tri_dofs = broken_dofs(sub_node_dof, m.tri_subdomain, m.triangles)
+    dof_node, dof_sub, table = broken_dof_layout(m)
+    jd, jl = jump_coupling(m, d.beta, table)
+    tri_dofs = table[m.tri_subdomain[:, None], m.triangles]
     A, M, full_to_red, keep, bound = _assemble(m, bc, m.triangles, tri_dofs, jd, jl, dof_node)
     return DiscreteForm(A, M, "broken", bc, m, d,
                         dof_node=dof_node[keep], dof_subdomain=dof_sub[keep],

@@ -115,3 +115,29 @@ def test_abc_inequality_validation():
         closedform.abc_inequality_check(z, z, 1.5, 1.0)
     with pytest.raises(ValueError):
         closedform.abc_inequality_check(z[:2], z, 0.5, 1.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_Z3 = [np.zeros(2)] * 3
+
+
+@pytest.mark.parametrize("func,args,match", [
+    (closedform.halfplane_bottoms, (_NAN, 1.0), "strengths"),
+    (closedform.halfplane_bottoms, (1.0, _INF), "strengths"),
+    (closedform.star_delta_bottom, (_INF,), "alpha"),
+    (closedform.star_delta_bottom, (_NAN,), "alpha"),
+    (closedform.wedge_trace_bound, (_NAN, 1.0), "gamma"),
+    (closedform.wedge_trace_bound, (_INF, 1.0), "gamma"),
+    (closedform.wedge_trace_bound, (1.0, _NAN), "opening angle"),
+    (closedform.m_functions, (0.5, _NAN), "t must"),
+    (closedform.m_functions, (_NAN, 0.5), "omega"),
+    (closedform.abc_inequality_check, (_Z3, _Z3, 0.5, _INF), "t must"),
+    (closedform.interval_delta_prime, (_NAN, 1.0), "beta and l"),
+    (closedform.interval_delta_prime, (1.0, _INF), "beta and l"),
+    (closedform.interval_fem_oracle, (-_INF, 1.0), "beta and l"),
+])
+def test_non_finite_arguments_rejected(func, args, match):
+    """NaN and +-inf fail the finite-and-positive checks with the function's
+    own named error, instead of a non-finite result or a brentq failure."""
+    with pytest.raises(ValueError, match=match):
+        func(*args)

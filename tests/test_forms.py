@@ -243,22 +243,68 @@ def test_jump_coupling_against_edge_loop():
     bf = forms.assemble_delta_prime(m, d, "neumann")
     stiff = forms.assemble_delta_prime(
         m, geometry.InteractionData(d.alpha, {i: np.inf for i in beta}), "neumann")
-    _, _, sub_node_dof = forms.broken_dof_layout(m)
+    _, _, table = forms.broken_dof_layout(m)
     f = np.random.default_rng(5).standard_normal(bf.n_dofs)
     expect = 0.0
     for q in range(m.iface_edge_nodes.shape[0]):
         a, b = m.iface_edge_nodes[q]
         k, l = m.iface_edge_kl[q]
-        jump = np.array([f[sub_node_dof[k][a]] - f[sub_node_dof[l][a]],
-                         f[sub_node_dof[k][b]] - f[sub_node_dof[l][b]]])
+        jump = np.array([f[table[k][a]] - f[table[l][a]],
+                         f[table[k][b]] - f[table[l][b]]])
         E = np.array([[2.0, 1.0], [1.0, 2.0]]) * m.iface_edge_length[q] / 6.0
         expect -= jump @ E @ jump / beta[int(m.iface_edge_id[q])]
     got = forms.form_value(bf, f) - forms.form_value(stiff, f)
     assert got == pytest.approx(expect, rel=1e-12)
     local = experiments._broken_rayleigh_local(
-        m, sub_node_dof, forms.jump_coupling(m, d.beta, sub_node_dof), f)
+        m, table, forms.jump_coupling(m, d.beta, table), f)
     assert local == pytest.approx(forms.rayleigh(bf, f), rel=1e-12)
 
+
+def _square_mesh(tri_subdomain):
+    """The unit square cut along its diagonal (0, 2) into the triangles
+    (0, 1, 2) and (0, 2, 3), in the subdomains tri_subdomain; the diagonal
+    is interface 1 between them."""
+    return mesh.Mesh(
+        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        triangles=np.array([[0, 1, 2], [0, 2, 3]]),
+        tri_subdomain=np.array(tri_subdomain), iface_edge_nodes=np.array([[0, 2]]),
+        iface_edge_id=np.array([1]), iface_edge_kl=np.array([tri_subdomain]),
+        iface_edge_length=np.array([math.sqrt(2.0)]),
+        outer_boundary_nodes=np.arange(4), refinement_level=0, box_radius=1.0)
+
+
+def test_layout_table_with_id_zero_and_a_gap():
+    """Subdomain ids {0, 2}: id 0 owns dofs and row 1 is all -1; the dofs
+    are blocked by id with sorted nodes, and the jump coupling and the
+    delta' form use them.  A negative id is an error, not the last row."""
+    m = _square_mesh([2, 0])
+    dof_node, dof_sub, table = forms.broken_dof_layout(m)
+    assert table.tolist() == [[0, -1, 1, 2], [-1, -1, -1, -1], [3, 4, 5, -1]]
+    assert dof_node.tolist() == [0, 2, 3, 0, 1, 2]
+    assert dof_sub.tolist() == [0, 0, 0, 2, 2, 2]
+    beta = 0.5
+    jump = -math.sqrt(2.0) / (6.0 * beta) * np.kron([[1.0, -1.0], [-1.0, 1.0]],
+                                                     [[2.0, 1.0], [1.0, 2.0]])
+    jd, jl = forms.jump_coupling(m, {1: beta}, table)
+    assert jd.tolist() == [[3, 5, 0, 1]]             # (a_2, b_2, a_0, b_0)
+    assert np.allclose(jl[0], jump, rtol=1e-15, atol=0.0)
+    d = geometry.InteractionData({1: 0.0}, {1: beta})
+    bf = forms.assemble_delta_prime(m, d, "neumann")
+    stiff, mass, _ = _kernels.p1_elements(m.nodes, m.triangles)
+    A, M = np.zeros((6, 6)), np.zeros((6, 6))
+    for t, dofs in enumerate(([3, 4, 5], [0, 1, 2])):
+        A[np.ix_(dofs, dofs)] += stiff[t].reshape(3, 3)
+        M[np.ix_(dofs, dofs)] += mass[t].reshape(3, 3)
+    A[np.ix_([3, 5, 0, 1], [3, 5, 0, 1])] += jump
+    assert np.array_equal(bf.dof_node, dof_node)
+    assert np.array_equal(bf.dof_subdomain, dof_sub)
+    assert np.allclose(bf.A.toarray(), A, rtol=0.0, atol=1e-15)
+    assert np.allclose(bf.M.toarray(), M, rtol=0.0, atol=1e-15)
+    negative = _square_mesh([-1, 2])
+    with pytest.raises(ValueError):
+        forms.broken_dof_layout(negative)
+    with pytest.raises(ValueError):
+        forms.assemble_delta_prime(negative, d, "neumann")
 
 
 def test_export_matrix_matches_per_entry_format():
@@ -280,14 +326,14 @@ def test_wedge_local_quotient_of_complex_vector():
     p, m = mesh.canonical_mesh("wedge", {"phi": phi}, R, 5)
     d = geometry.InteractionData.uniform(p, 0.0, beta)
     bf = forms.assemble_delta_prime(m, d, "neumann")
-    dof_node, dof_sub, sub_node_dof = forms.broken_dof_layout(m)
+    dof_node, dof_sub, table = forms.broken_dof_layout(m)
     psi = forms.sample_test_function(m, "wedge_psi_np", {
         "layout": (dof_node, dof_sub), "n": n, "p": 0.7, "beta": beta,
         "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0,
         "upper": 1, "ray_length": R})
     assert np.max(np.abs(psi.imag)) > 0.1
     local = experiments._broken_rayleigh_local(
-        m, sub_node_dof, forms.jump_coupling(m, d.beta, sub_node_dof), psi)
+        m, table, forms.jump_coupling(m, d.beta, table), psi)
     assert local == pytest.approx(forms.rayleigh(bf, psi), rel=1e-12)
 
 
@@ -342,14 +388,14 @@ def test_wedge_quotient_memory_is_bounded():
     d = geometry.InteractionData.uniform(p, 0.0, beta)
     tracemalloc.start()
     try:
-        dof_node, dof_sub, sub_node_dof = forms.broken_dof_layout(m)
-        jump = forms.jump_coupling(m, d.beta, sub_node_dof)
+        dof_node, dof_sub, table = forms.broken_dof_layout(m)
+        jump = forms.jump_coupling(m, d.beta, table)
         for n in (8.0, 16.0, 32.0):
             psi = forms.sample_test_function(m, "wedge_psi_np", {
                 "layout": (dof_node, dof_sub), "n": n, "beta": beta,
                 "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0,
                 "upper": 1, "ray_length": R})
-            experiments._broken_rayleigh_local(m, sub_node_dof, jump, psi)
+            experiments._broken_rayleigh_local(m, table, jump, psi)
             del psi
         peak = tracemalloc.get_traced_memory()[1]
     finally:

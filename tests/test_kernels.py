@@ -148,10 +148,10 @@ def test_sturm_count_against_scalar_loop():
     e[::4] = 0.0                                     # q == 0 at x == d[i]
     e2 = e * e
     xs = np.concatenate([rng.uniform(-6.0, 6.0, 40), d, -d])
-    cnt = kernels._sturm_count(d, e2, xs)
+    cnt = kernels._sturm_count(d, e2, xs)[0]
     ref = [_sturm_count_reference(d, e2, float(x)) for x in xs]
     assert np.array_equal(cnt, ref)
-    assert kernels._sturm_count(d, e2, d[0]).tolist() == [ref[40]]
+    assert kernels._sturm_count(d, e2, d[0])[0].tolist() == [ref[40]]
 
 
 def test_sturm_count_across_row_blocks():
@@ -245,8 +245,8 @@ def test_tridiag_eigenvalues_certified_by_sturm_counts(name):
     span = max(float(np.max(d + r) - np.min(d - r)), 1.0)
     w = np.maximum(1e-15 * span, 4.0 * np.spacing(np.abs(ev)))
     e2 = e * e
-    assert np.all(kernels._sturm_count(d, e2, ev - w) <= np.arange(n))
-    assert np.all(kernels._sturm_count(d, e2, ev + w) >= np.arange(1, n + 1))
+    assert np.all(kernels._sturm_count(d, e2, ev - w)[0] <= np.arange(n))
+    assert np.all(kernels._sturm_count(d, e2, ev + w)[0] >= np.arange(1, n + 1))
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     _assert_same_spectrum(ev, np.linalg.eigvalsh(T))
 

@@ -306,17 +306,18 @@ def _check_layout(m):
     got, want = forms.broken_dof_layout(m), _layout_reference(m)
     for g, w in zip(got[:2], want[:2]):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert list(got[2]) == list(want[2])
-    for sid, lut in want[2].items():
-        assert np.array_equal(got[2][sid], lut)
+    table = got[2]
+    assert table.dtype == np.int64
+    assert table.shape == (max(want[2]) + 1, m.n_nodes)
+    for sid in range(table.shape[0]):
+        assert np.array_equal(table[sid], want[2].get(sid, np.full(m.n_nodes, -1)))
     # per triangle, and per interface edge with one subdomain per entry
-    tri_dofs = forms.broken_dofs(got[2], m.tri_subdomain, m.triangles)
-    assert tri_dofs.dtype == np.int64
+    tri_dofs = table[m.tri_subdomain[:, None], m.triangles]
     assert tri_dofs.tolist() == [[want[2][s][v] for v in tri] for tri, s in
                                  zip(m.triangles.tolist(), m.tri_subdomain.tolist())]
     kl = np.repeat(m.iface_edge_kl, 2, axis=1)
     ab = np.tile(m.iface_edge_nodes, (1, 2))
-    assert forms.broken_dofs(got[2], kl, ab).tolist() == [
+    assert table[kl, ab].tolist() == [
         [want[2][s][v] for s, v in zip(ks, vs)]
         for ks, vs in zip(kl.tolist(), ab.tolist())]
 
