@@ -1,21 +1,10 @@
 """Discretized Schrodinger operators with delta / delta-prime interactions
 on the boundaries of polygonal partitions of a truncated plane.
 
-Subpackages follow the pipeline: geometry -> mesh -> forms -> eigen, with
+The modules follow the pipeline geometry -> mesh -> forms -> eigen, with
 closedform holding every analytic constant, experiments the named
-verification runs, and cli the command-line front end.
+verification runs, and cli the command-line front end.  Importing the
+package loads none of them; callers import the module they use.
 """
-
-from . import geometry, mesh, forms, eigen, closedform, experiments, cli
-
-__all__ = [
-    "geometry",
-    "mesh",
-    "forms",
-    "eigen",
-    "closedform",
-    "experiments",
-    "cli",
-]
 
 __version__ = "0.1.0"

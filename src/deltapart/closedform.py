@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize as opt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -104,10 +103,6 @@ class MinimaxReport:
     discrepancy: bool            # derived value vs printed value disagree
 
 
-def _crossing_value(t: float) -> float:
-    return m_functions(omega_star(t), t)[1]
-
-
 def _grid_oracle(n: int = 1_000_001) -> float:
     """Dense t-grid oracle (>= 10^6 points), independent of the closed-form
     crossing curve: for every t the inner min over omega of max(M1, M2) is
@@ -132,16 +127,16 @@ def _grid_oracle(n: int = 1_000_001) -> float:
 
 
 def minimax_star() -> MinimaxReport:
-    """min over t > 0, omega in [0,1] of max(M1, M2), by the analytic crossing
-    curve plus golden-section search, cross-validated by a dense grid oracle.
+    """min over t > 0, omega in [0,1] of max(M1, M2) in closed form,
+    cross-validated by a dense grid oracle.
 
-    Both the self-consistently derived optimum and the differing printed
-    closed form are reported; certified bounds elsewhere use the derived
-    (weaker, hence safe) constant.
+    On the crossing curve omega*(t)/t = (8 - 4 sqrt3)/(3 sqrt3 + 2(1-t)t), so
+    M2 = (4 + 3 omega/t)^2/4 is least where (1-t)t is largest: t* = 1/2, with
+    value (26/(6 sqrt3 + 1))^2.  Both this self-consistently derived optimum
+    and the differing printed closed form are reported; certified bounds
+    elsewhere use the derived (weaker, hence safe) constant.
     """
-    res = opt.minimize_scalar(_crossing_value, bracket=(0.2, 0.5, 0.8),
-                              method="golden", options={"xtol": 1e-10})
-    t_star = float(res.x)
+    t_star = 0.5
     w_star = omega_star(t_star)
     m1, m2 = m_functions(w_star, t_star)
     value = min(m2, 16.0 / 3.0)
@@ -178,27 +173,36 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
 
     The odd cosh ansatz u = -+ cosh(k(l -+ x)) satisfies the Neumann ends;
     the natural conditions at 0 (continuous derivative, u' = jump/beta)
-    reduce to beta*k = 2*coth(k*l), solved by bracketed root finding.
+    reduce to beta*k = 2*coth(k*l).  Its root is bracketed without search:
+    beta*k*tanh(k*l) - 2 is <= -1 at k = 1/beta, and as coth x <= 1 + 1/x it
+    is positive from the root h of beta*k^2 - 2k - 2/l on, by a margin clear
+    of rounding at 2h.  An epsilon = -k^2 that overflows, or underflows past
+    the normal doubles, is a ValueError, not -inf or a lossy -0.0.
     """
     if not _positive(beta, l):
         raise ValueError("beta and l must be positive")
+    import scipy.optimize as opt   # only here, off the package's import path
 
-    def g(k):
-        return beta * k - 2.0 / math.tanh(k * l)
-
-    lo = 2.0 / beta            # g(lo) = 2 - 2 coth(2l/beta) < 0
-    hi = lo + 1.0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError(f"bracketing failed for beta={beta}, l={l}")
-    k = opt.brentq(g, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    r = 1.0 / beta
+    # 2h = 2(r + sqrt(r^2 + 2r/l)), by parts that neither underflow nor
+    # overflow; k >= max(2r, sqrt(2r/l)) >= 2h/4, so an infinite 2h means an
+    # infinite -k^2
+    hi = 2.0 * (r + math.hypot(r, math.sqrt(2.0 * r) / math.sqrt(l)))
+    k = math.inf
+    if math.isfinite(hi):
+        rtol = 4 * np.finfo(float).eps
+        k = opt.brentq(lambda x: beta * x * math.tanh(x * l) - 2.0, r, hi,
+                       xtol=rtol * 2.0 * r, rtol=rtol)
     eps = -k * k
+    if not -math.inf < eps <= -np.finfo(float).tiny:
+        raise ValueError(f"epsilon = -k^2 is not a normal double for "
+                         f"beta={beta}, l={l}")
     thr = -4.0 / (beta * beta)
     # strict mathematically; allow rounding slack for huge l where k -> 2/beta
     if eps > thr + 8.0 * np.finfo(float).eps * abs(thr):
         raise RuntimeError("computed eigenvalue violates the strict threshold bound")
-    return IntervalResult(epsilon=eps, k_rate=k, residual=g(k))
+    return IntervalResult(epsilon=eps, k_rate=k,
+                          residual=beta * k - 2.0 / math.tanh(k * l))
 
 
 def _interval_matrices(beta: float, l: float, n_elems: int):

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy.integrate as integrate
 
 from . import _kernels, closedform, eigen, forms, geometry, mesh
 
@@ -354,6 +353,8 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
 
 def _bump_polyline_trace(bump_xy, alpha: float, n: float) -> float:
     """Integral of bump((x)/n)^2 * exp(-alpha |y|) along the closed polygon."""
+    import scipy.integrate as integrate   # only here, off the import path
+
     total = 0.0
     pts = np.asarray(bump_xy, dtype=float)
     for i in range(pts.shape[0]):
@@ -372,12 +373,13 @@ def _bump_polyline_trace(bump_xy, alpha: float, n: float) -> float:
 
 
 def _deformation_quadrature(alpha: float, n: float, bump_xy) -> dict:
-    """Shifted form value of the cutoff transverse profile, all pieces by 1D
-    quadrature: I_n = |grad|^2 - alpha(line trace + bump trace) + alpha^2/4 |f|^2."""
-    phi2, _ = integrate.quad(lambda s: float(forms.bump(s / n) ** 2),
-                             -2.0 * n, 2.0 * n, epsabs=1e-13, epsrel=1e-12)
-    dphi2, _ = integrate.quad(lambda s: float(forms.bump_prime(s / n) ** 2),
-                              -2.0 * n, 2.0 * n, epsabs=1e-13, epsrel=1e-12)
+    """Shifted form value of the cutoff transverse profile,
+    I_n = |grad|^2 - alpha(line trace + bump trace) + alpha^2/4 |f|^2.  The
+    line pieces scale the bump constants, int bump(s/n)^2 ds = n BUMP_L2SQ
+    and int bump'(s/n)^2 ds = n BUMP_GRAD_L2SQ; the bump trace is by 1D
+    quadrature."""
+    phi2 = n * forms.BUMP_L2SQ
+    dphi2 = n * forms.BUMP_GRAD_L2SQ
     ey = 2.0 / alpha                      # integral of exp(-alpha |y|)
     dey = alpha / 2.0                     # integral of (alpha/2)^2 exp(-alpha |y|)
     grad = dphi2 / n ** 2 * ey + phi2 * dey

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .geometry import Partition, _VertexPool, _cross2, _loop_area
@@ -297,6 +296,8 @@ def _check_mesh(p: Partition, m: Mesh) -> None:
 # ---------------------------------------------------------------------------
 
 def mirror_permutation(m: Mesh, axis: float) -> np.ndarray:
+    from scipy.spatial import cKDTree   # only here, off the import path
+
     mirrored = m.nodes.copy()
     mirrored[:, 0] = 2.0 * axis - mirrored[:, 0]
     tree = cKDTree(m.nodes)

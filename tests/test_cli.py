@@ -1,10 +1,14 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import deltapart
 from deltapart import cli, experiments
 
 
@@ -318,3 +322,29 @@ def test_export_mesh_and_matrix(cfg_file, capsys):
                      "--operator", "delta-prime", "--which", "mass"]) == 0
     line = capsys.readouterr().out.split("\n")[0].split()
     assert len(line) == 3 and float(line[2]) > 0.0
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(Path(deltapart.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_leaves_optional_scipy_out():
+    """integrate, optimize and spatial serve one function each and are
+    imported there, so the CLI's import path does not pay for them."""
+    out = _fresh_python("-c", "import sys, deltapart.cli; print(sorted(m for m in"
+                        " ('scipy.integrate', 'scipy.optimize', 'scipy.spatial')"
+                        " if m in sys.modules))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_as_module_under_warning_errors():
+    # a package __init__ that imported cli made runpy warn before running it
+    out = _fresh_python("-W", "error::RuntimeWarning", "-m", "deltapart.cli",
+                        "closed-form", "star-delta", "1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "-0.333333333333"

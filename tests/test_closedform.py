@@ -68,6 +68,14 @@ def test_minimax_report():
         4.0 - 2.0 * math.sqrt(3.0) / 9.0)
 
 
+def test_minimax_optimum_is_exact():
+    # t* = 1/2 from the crossing curve, not a search that stops near it
+    rep = closedform.minimax_star()
+    assert rep.t_star == 0.5
+    assert rep.m1_at_opt == rep.m2_at_opt == rep.value
+    assert rep.omega_star_at_t == closedform.omega_star(0.5)
+
+
 def test_interval_known_value():
     r = closedform.interval_delta_prime(2.0, 40.0)
     assert abs(r.epsilon + 1.0) <= 1e-10
@@ -82,6 +90,36 @@ def test_interval_strict_threshold_and_oracle(beta, l):
     assert r.epsilon < thr + 8.0 * np.finfo(float).eps * abs(thr)
     fem = closedform.interval_fem_oracle(beta, l)
     assert abs(fem - r.epsilon) <= 1e-6 * abs(r.epsilon)
+
+
+@pytest.mark.parametrize("beta,l", [(1.0, 1e-30), (1e18, 1.0), (1e300, 1.0),
+                                    (1e300, 1e-300), (1e16, 1.0)])
+def test_interval_small_kl_asymptote(beta, l):
+    """Where k*l is small, beta*k = 2 coth(k*l) = 2/(k*l) + 2k*l/3 + O((kl)^3)
+    gives k^2 = 2/(l (beta - 2l/3)) to far below rounding.  A bracket search
+    capped at 1e12 and an absolute xtol of 1e-15 missed these roots."""
+    r = closedform.interval_delta_prime(beta, l)
+    assert r.epsilon == pytest.approx(-2.0 / (l * (beta - 2.0 * l / 3.0)),
+                                      rel=1e-14)
+    assert abs(r.residual) <= 8.0 * np.finfo(float).eps * beta * r.k_rate
+
+
+def test_interval_huge_l_root_at_two_over_beta():
+    # coth(k*l) rounds to 1, so beta*k = 2 to the last bit
+    r = closedform.interval_delta_prime(49.0, 1e20)
+    assert r.k_rate == pytest.approx(2.0 / 49.0, rel=4e-16)
+    assert abs(r.residual) <= 4.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("beta,l", [(1e-300, 1.0), (1e-310, 1.0),
+                                    (1.0, 1e-310), (1e300, 1e10),
+                                    (1e300, 1e100)])
+def test_interval_epsilon_beyond_normal_doubles_is_named(beta, l):
+    """k >= max(2/beta, sqrt(2/(beta l))) overflows k^2 in the first three;
+    k^2 ~ 2/(beta l) is subnormal (2e-310) or below the doubles in the last
+    two."""
+    with pytest.raises(ValueError, match="not a normal double"):
+        closedform.interval_delta_prime(beta, l)
 
 
 def test_interval_fem_oracle_is_deterministic():

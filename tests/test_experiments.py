@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deltapart import experiments
+from deltapart import experiments, forms
 
 
 def test_report_machinery():
@@ -102,6 +102,33 @@ def test_deformation_quadrature_only():
     assert q64["value"] < 0.0
     q1 = experiments._deformation_quadrature(1.0, 1.0, bump)
     assert q1["value"] > q64["value"]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("bump", [
+    [(-1.0, 1.0), (1.0, 1.0), (1.0, 3.0), (-1.0, 3.0)],
+    [(-2.0, 0.5), (3.0, 1.0), (0.5, 4.0)],
+])
+def test_deformation_line_pieces_match_quadrature(alpha, bump):
+    """The line pieces scale BUMP_L2SQ and BUMP_GRAD_L2SQ by n; they match
+    the two adaptive quadratures they replace."""
+    from scipy.integrate import quad
+
+    for n in (1.0, 2.0, 4.0, 8.0, 64.0):
+        phi2 = quad(lambda s: float(forms.bump(s / n) ** 2),
+                    -2.0 * n, 2.0 * n, epsabs=1e-13, epsrel=1e-12)[0]
+        dphi2 = quad(lambda s: float(forms.bump_prime(s / n) ** 2),
+                     -2.0 * n, 2.0 * n, epsabs=1e-13, epsrel=1e-12)[0]
+        q = experiments._deformation_quadrature(alpha, n, bump)
+        grad = dphi2 / n ** 2 * (2.0 / alpha) + phi2 * alpha / 2.0
+        l2 = phi2 * 2.0 / alpha
+        value = (grad - alpha * (phi2 + q["bump_trace"])
+                 + alpha ** 2 / 4.0 * l2)
+        scale = grad + alpha * (phi2 + q["bump_trace"]) + alpha ** 2 / 4.0 * l2
+        assert q["line_trace"] == pytest.approx(phi2, rel=1e-14, abs=0.0)
+        assert q["grad"] == pytest.approx(grad, rel=1e-14, abs=0.0)
+        assert q["l2"] == pytest.approx(l2, rel=1e-14, abs=0.0)
+        assert abs(q["value"] - value) <= 1e-14 * scale
 
 
 def test_sharpness_report():
