@@ -183,6 +183,16 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
         raise ValueError("beta and l must be positive")
     import scipy.optimize as opt   # only here, off the package's import path
 
+    def root_fn(x):
+        y = x * l
+        if y >= np.finfo(float).tiny:
+            return beta * x * math.tanh(y) - 2.0
+        # a subnormal x*l keeps only a few bits, and beta*x may overflow;
+        # tanh(y)/y = 1 there, so take beta*x*x*l from the factors'
+        # mantissas and exponents
+        (mb, eb), (mx, ex), (ml, el) = map(math.frexp, (beta, x, l))
+        return math.ldexp(mb * mx * mx * ml, eb + 2 * ex + el) - 2.0
+
     r = 1.0 / beta
     # 2h = 2(r + sqrt(r^2 + 2r/l)), by parts that neither underflow nor
     # overflow; k >= max(2r, sqrt(2r/l)) >= 2h/4, so an infinite 2h means an
@@ -191,8 +201,7 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
     k = math.inf
     if math.isfinite(hi):
         rtol = 4 * np.finfo(float).eps
-        k = opt.brentq(lambda x: beta * x * math.tanh(x * l) - 2.0, r, hi,
-                       xtol=rtol * 2.0 * r, rtol=rtol)
+        k = opt.brentq(root_fn, r, hi, xtol=rtol * 2.0 * r, rtol=rtol)
     eps = -k * k
     if not -math.inf < eps <= -np.finfo(float).tiny:
         raise ValueError(f"epsilon = -k^2 is not a normal double for "
@@ -201,8 +210,12 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
     # strict mathematically; allow rounding slack for huge l where k -> 2/beta
     if eps > thr + 8.0 * np.finfo(float).eps * abs(thr):
         raise RuntimeError("computed eigenvalue violates the strict threshold bound")
-    return IntervalResult(epsilon=eps, k_rate=k,
-                          residual=beta * k - 2.0 / math.tanh(k * l))
+    y = k * l
+    # where y is subnormal, tanh(y) = y and beta*k may overflow, so
+    # beta*k - 2/tanh(y) is taken as (beta*k*y - 2)/y
+    residual = (beta * k - 2.0 / math.tanh(y) if y >= np.finfo(float).tiny
+                else root_fn(k) / y)
+    return IntervalResult(epsilon=eps, k_rate=k, residual=residual)
 
 
 def _interval_matrices(beta: float, l: float, n_elems: int):

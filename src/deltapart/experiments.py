@@ -273,6 +273,32 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     return num / den
 
 
+def _wedge_window(wedge_phi: float, n_list):
+    """The angle of the wedge's interface ray and the bounding rectangle of
+    the supports |xr - c| <= 2n, |yr| <= 2n (c = 2n + 4) of its test
+    functions: the only triangles that `_wedge_quotients` reads meet it."""
+    reach = 2.0 * max(n_list)
+    return np.pi / 2.0 - wedge_phi / 2.0, (4.0, 2.0 * reach + 4.0, -reach, reach)
+
+
+def _wedge_quotients(p, m: mesh.Mesh, beta: float, momentum: float, n_list,
+                     angle: float) -> List[float]:
+    """Broken-form Rayleigh quotients of the wedge test functions psi_n,
+    centred at 2n + 4 on the interface ray at angle, one per n."""
+    d = geometry.InteractionData.uniform(p, 0.0, beta)
+    layout = forms.broken_dof_layout(m)
+    jump = forms.jump_coupling(m, d.beta, layout[2])
+    quotients = []
+    for n in n_list:
+        psi = forms.sample_test_function(m, "wedge_psi_np", {
+            "layout": (layout[0], layout[1]), "n": n, "p": momentum,
+            "beta": beta, "center": 2.0 * n + 4.0, "angle": angle,
+            "upper": 1, "ray_length": m.box_radius,
+        })
+        quotients.append(_broken_rayleigh_local(m, layout[2], jump, psi))
+    return quotients
+
+
 def run_threshold_convergence(geometry_name: str = "half_plane",
                               operator: str = "delta", strength: float = 1.0,
                               box_radii=(8.0, 12.0, 16.0), levels: int = 7,
@@ -322,19 +348,11 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         need = 2.0 * max(n_list) + 4.0 + 2.0 * max(n_list)
         if need > R:
             raise ValueError("box too small for the test-function support")
-        p, m = mesh.canonical_mesh("wedge", {"phi": wedge_phi}, R, wedge_levels)
-        d = geometry.InteractionData.uniform(p, 0.0, beta)
-        layout = forms.broken_dof_layout(m)
-        jump = forms.jump_coupling(m, d.beta, layout[2])
-        quotients = []
-        for n in n_list:
-            psi = forms.sample_test_function(m, "wedge_psi_np", {
-                "layout": (layout[0], layout[1]), "n": n, "p": momentum,
-                "beta": beta, "center": 2.0 * n + 4.0,
-                "angle": np.pi / 2.0 - wedge_phi / 2.0, "upper": 1,
-                "ray_length": R,
-            })
-            quotients.append(_broken_rayleigh_local(m, layout[2], jump, psi))
+        p = geometry.build_canonical_partition(
+            "wedge", {"phi": wedge_phi, "box_radius": R})
+        window = _wedge_window(wedge_phi, n_list)
+        m = mesh.triangulate(p, wedge_levels, window)
+        quotients = _wedge_quotients(p, m, beta, momentum, n_list, window[0])
         rep.quantities.update({"target": target, "n_list": list(n_list),
                                "rayleigh_quotients": quotients})
         for i in range(1, len(quotients)):

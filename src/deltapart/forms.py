@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from . import _kernels
 from .geometry import (FINITE, POSITIVE, InteractionData, PhaseAssignment,
                        _param, whole)
-from .mesh import Mesh, coarsen
+from .mesh import Mesh, _whole_box, coarsen
 
 __all__ = [
     "DiscreteForm",
@@ -199,6 +199,7 @@ def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node)
     """P1 stiffness of the triangles tris (on dofs tri_dofs) plus the edge
     coupling, P1 mass, the coupling bound, and the Dirichlet reduction of
     the dofs on outer-boundary nodes."""
+    _whole_box(m, "assembling a form")
     n = dof_node.size
     stiff, mass, _ = _kernels.p1_elements(np.ascontiguousarray(m.nodes),
                                           np.ascontiguousarray(tris))

@@ -29,6 +29,9 @@ class Mesh:
     refinement_level: int
     box_radius: float
     symmetry_axis: float | None = None
+    # (angle, (x0, x1, y0, y1)) of `triangulate`'s window, or None for a
+    # mesh of the whole box
+    window: tuple | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -205,6 +208,57 @@ def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
     return new_nodes, children, np.repeat(tri_subdomain, 4), new_iface
 
 
+def _meets_window(nodes, triangles, window, slack):
+    """Triangles whose bounding box in the turned coordinates
+    xr = x cos(angle) + y sin(angle), yr = -x sin(angle) + y cos(angle)
+    meets the window's rectangle widened by slack: for each side of the
+    rectangle, some vertex lies on its inner side."""
+    angle, (x0, x1, y0, y1) = window
+    ct, st = np.cos(angle), np.sin(angle)
+    xr = nodes[:, 0] * ct + nodes[:, 1] * st
+    yr = -nodes[:, 0] * st + nodes[:, 1] * ct
+    a, b, c = triangles.T
+    meets = np.ones(triangles.shape[0], dtype=bool)
+    for inner in (xr >= x0 - slack, xr <= x1 + slack,
+                  yr >= y0 - slack, yr <= y1 + slack):
+        meets &= inner[a] | inner[b] | inner[c]
+    return meets
+
+
+def _clip_to_window(nodes, triangles, tri_subdomain, iface, window, slack):
+    """Keep the triangles that meet the window, their nodes in the same
+    relative order, and the interface edges with a kept triangle on both
+    sides; iface is (node pairs, ids, (k, l), lengths) per edge."""
+    keep = _meets_window(nodes, triangles, window, slack)
+    triangles, tri_subdomain = triangles[keep], tri_subdomain[keep]
+    pairs, ids, kl, lengths = iface
+    n = nodes.shape[0]
+    # sides (subdomain, sorted node pair) of the kept triangles with two
+    # vertices on interface edges, against the two sides of every edge
+    on_iface = np.zeros(n, dtype=bool)
+    on_iface[pairs] = True
+    ia, ib, ic = (on_iface[v] for v in triangles.T)
+    near = (ia & ib) | (ib & ic) | (ic & ia)
+    t, s = triangles[near], tri_subdomain[near]
+    u, v = t.T, t[:, [1, 2, 0]].T
+    sides = (np.tile(s, 3) * n + np.minimum(u, v).ravel()) * n + np.maximum(u, v).ravel()
+    a, b = pairs.T
+    edge = np.minimum(a, b) * n + np.maximum(a, b)
+    both = (np.isin(kl[:, 0] * n * n + edge, sides)
+            & np.isin(kl[:, 1] * n * n + edge, sides))
+    used = np.zeros(n, dtype=bool)
+    used[triangles] = True
+    renumber = np.cumsum(used) - 1
+    return (nodes[used], renumber[triangles], tri_subdomain,
+            (renumber[pairs[both]], ids[both], kl[both], lengths[both]))
+
+
+def _whole_box(m: Mesh, what: str) -> None:
+    if m.window is not None:
+        raise ValueError(f"{what} needs a mesh of the whole box, not a "
+                         f"windowed mesh")
+
+
 def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
     """Invert the last `_refine_once`: the level L-1 mesh (bitwise equal to
     `triangulate(p, L-1)`) and the (n_fine - n_coarse, 2) parent nodes of
@@ -213,6 +267,7 @@ def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
     Children of triangle t are rows 4t..4t+3, (a, mab, mca), (mab, b, mbc),
     (mca, mbc, c), (mab, mbc, mca); interface edge q splits into rows 2q
     (a, mid) and 2q+1 (mid, b)."""
+    _whole_box(m, "coarsen")
     if m.refinement_level < 1:
         raise ValueError("a level-0 mesh has no coarser level")
     t0, t1, t2, t3 = (m.triangles[j::4] for j in range(4))
@@ -234,24 +289,44 @@ def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
     return coarse, parents
 
 
-def triangulate(p: Partition, levels: int) -> Mesh:
+def triangulate(p: Partition, levels: int, window=None) -> Mesh:
+    """The coarse mesh of p refined levels times.  With a window
+    (angle, (x0, x1, y0, y1)), every level from the coarse mesh on keeps
+    only the triangles whose bounding box in the turned coordinates
+    xr = x cos(angle) + y sin(angle), yr = -x sin(angle) + y cos(angle)
+    meets the rectangle x0 <= xr <= x1, y0 <= yr <= y1, widened by
+    1e-9 max(R, 1).
+    A child lies inside its parent, so the kept triangles are the rows of
+    the whole-box mesh that meet the rectangle, in the same order and with
+    the same coordinates; likewise the interface edges with a kept
+    triangle on both sides.  Such a mesh does not tile the box."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    nodes, triangles, tri_subdomain = _coarse_mesh(p)
-    iface_nodes, iface_id, iface_kl, iface_len = _derive_interface_edges(
-        p, nodes, triangles, tri_subdomain)
-    for _ in range(levels):
-        nodes, triangles, tri_subdomain, iface_nodes = _refine_once(
-            nodes, triangles, tri_subdomain, iface_nodes)
-        iface_id = np.repeat(iface_id, 2)
-        iface_kl = np.repeat(iface_kl, 2, axis=0)
-        iface_len = np.repeat(iface_len, 2) / 2.0
     R = p.box_radius
     tol = 1e-9 * max(R, 1.0)
+    if window is not None:
+        angle, (x0, x1, y0, y1) = window
+        window = (float(angle), (float(x0), float(x1), float(y0), float(y1)))
+        if not (np.all(np.isfinite(window[1])) and np.isfinite(window[0])
+                and x0 <= x1 and y0 <= y1):
+            raise ValueError("window must be a finite angle and a rectangle "
+                             "(x0, x1, y0, y1) with x0 <= x1 and y0 <= y1")
+    nodes, triangles, tri_subdomain = _coarse_mesh(p)
+    iface = _derive_interface_edges(p, nodes, triangles, tri_subdomain)
+    for level in range(levels + 1):
+        if level:
+            iface_nodes, iface_id, iface_kl, iface_len = iface
+            nodes, triangles, tri_subdomain, iface_nodes = _refine_once(
+                nodes, triangles, tri_subdomain, iface_nodes)
+            iface = (iface_nodes, np.repeat(iface_id, 2),
+                     np.repeat(iface_kl, 2, axis=0), np.repeat(iface_len, 2) / 2.0)
+        if window is not None:
+            nodes, triangles, tri_subdomain, iface = _clip_to_window(
+                nodes, triangles, tri_subdomain, iface, window, tol)
     on_box = (np.abs(np.abs(nodes[:, 0]) - R) < tol) | (np.abs(np.abs(nodes[:, 1]) - R) < tol)
     outer = np.flatnonzero(on_box).astype(np.int64)
-    m = Mesh(nodes, triangles, tri_subdomain, iface_nodes, iface_id, iface_kl,
-             iface_len, outer, levels, R, p.symmetry_axis)
+    m = Mesh(nodes, triangles, tri_subdomain, *iface, outer, levels, R,
+             p.symmetry_axis, window)
     _check_mesh(p, m)
     return m
 
@@ -276,6 +351,8 @@ def _check_mesh(p: Partition, m: Mesh) -> None:
                    - (py[:, 1] - py[:, 0]) * (px[:, 2] - px[:, 0]))
     if not np.all(areas > 0):
         raise AssertionError("mesh contains non-positive triangle areas")
+    if m.window is not None:
+        return   # a windowed mesh does not tile the subdomains
     # triangles tile each subdomain
     sub_area = np.bincount(m.tri_subdomain, weights=areas,
                            minlength=max(sub.id for sub in p.subdomains) + 1)
@@ -296,6 +373,7 @@ def _check_mesh(p: Partition, m: Mesh) -> None:
 # ---------------------------------------------------------------------------
 
 def mirror_permutation(m: Mesh, axis: float) -> np.ndarray:
+    _whole_box(m, "mirror_permutation")
     from scipy.spatial import cKDTree   # only here, off the import path
 
     mirrored = m.nodes.copy()
@@ -327,6 +405,7 @@ def reflect_split(m: Mesh, axis: float, f: np.ndarray):
 def export_mesh(m: Mesh) -> str:
     """Plain-text dump: "v x y", "t i j k domain", "e i j interface k l"
     (1-based node indices)."""
+    _whole_box(m, "export_mesh")
     lines = [f"v {x!r} {y!r}" for x, y in m.nodes.tolist()]
     lines += [f"t {a} {b} {c} {s}" for (a, b, c), s in
               zip((m.triangles + 1).tolist(), m.tri_subdomain.tolist())]

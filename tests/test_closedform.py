@@ -111,6 +111,16 @@ def test_interval_huge_l_root_at_two_over_beta():
     assert abs(r.residual) <= 4.0 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("beta,l", [(1e300, 1e-320), (1e304, 1e-320)])
+def test_interval_subnormal_l(beta, l):
+    """k*l is subnormal, so tanh(k*l) keeps only a few bits and beta*k
+    overflows; the root is k^2 = 2/(beta l) far below rounding, with l the
+    stored subnormal."""
+    r = closedform.interval_delta_prime(beta, l)
+    assert r.epsilon == pytest.approx(-2.0 / (beta * l), rel=1e-12)
+    assert np.isfinite(r.residual)
+
+
 @pytest.mark.parametrize("beta,l", [(1e-300, 1.0), (1e-310, 1.0),
                                     (1.0, 1e-310), (1e300, 1e10),
                                     (1e300, 1e100)])

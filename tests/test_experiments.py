@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deltapart import experiments, forms
+from deltapart import experiments, forms, geometry, mesh
 
 
 def test_report_machinery():
@@ -73,13 +73,17 @@ def test_threshold_wedge_quotients_decreasing():
     assert q[1] > rep.quantities["target"]        # Rayleigh from above
 
 
-def test_threshold_wedge_quotients_are_pinned():
-    """The three wedge quotients at R = 140, L6, bit for bit (float.hex)."""
+@pytest.mark.parametrize("levels,pinned", [
+    (6, ["-0x1.8570dc4fffc84p-1", "-0x1.8fa769c2c827fp-1", "-0x1.9248bdbfd6e7dp-1"]),
+    (9, ["-0x1.f61ba4d32976bp-1", "-0x1.fb81804a57e3ap-1", "-0x1.fcdb0e3b5b539p-1"]),
+], ids=["L6", "L9"])
+def test_threshold_wedge_quotients_are_pinned(levels, pinned):
+    """The three wedge quotients at R = 140, bit for bit (float.hex), at L6
+    and at acceptance 04's L9; both were measured on the whole-box mesh."""
     rep = experiments.run_threshold_convergence(
         geometry_name="wedge", operator="delta-prime", strength=2.0,
-        wedge_levels=6)
-    assert [q.hex() for q in rep.quantities["rayleigh_quotients"]] == [
-        "-0x1.8570dc4fffc84p-1", "-0x1.8fa769c2c827fp-1", "-0x1.9248bdbfd6e7dp-1"]
+        wedge_levels=levels)
+    assert [q.hex() for q in rep.quantities["rayleigh_quotients"]] == pinned
 
 
 def test_threshold_rejects_tiny_wedge_box():
@@ -143,3 +147,37 @@ def test_experiment_registry_complete():
     assert set(experiments.EXPERIMENTS) == {
         "ordering", "unitary", "star-bounds", "threshold", "deformation",
         "indicator", "sharpness"}
+
+
+@pytest.mark.parametrize("levels", [5, 7])
+@pytest.mark.parametrize("phi", [np.pi / 3.0, np.pi / 2.0, 3.0 * np.pi / 4.0],
+                         ids=["pi/3", "pi/2", "3pi/4"])
+def test_windowed_wedge_mesh_matches_whole_box(phi, levels):
+    """The threshold run's windowed mesh holds the whole-box mesh's
+    triangles that meet the window, in their order and with their
+    coordinates; every kept interface edge has its four broken dofs; and
+    the quotients equal the whole-box ones bit for bit."""
+    R, beta, n_list = 40.0, 2.0, (4, 8)
+    p = geometry.build_canonical_partition("wedge", {"phi": phi, "box_radius": R})
+    window = experiments._wedge_window(phi, n_list)
+    full = mesh.triangulate(p, levels)
+    win = mesh.triangulate(p, levels, window)
+    kept = np.flatnonzero(mesh._meets_window(full.nodes, full.triangles,
+                                             window, 1e-9 * R))
+    assert np.array_equal(win.nodes[win.triangles],
+                          full.nodes[full.triangles[kept]])
+    assert np.array_equal(win.tri_subdomain, full.tri_subdomain[kept])
+    assert 0 < win.n_triangles < full.n_triangles
+    table = forms.broken_dof_layout(win)[2]
+    kl, ab = win.iface_edge_kl, win.iface_edge_nodes
+    assert win.iface_edge_nodes.shape[0] > 0
+    assert np.all(table[kl[:, [0, 0, 1, 1]], ab[:, [0, 1, 0, 1]]] >= 0)
+    for momentum in (0.0, 0.5):
+        rep = experiments.run_threshold_convergence(
+            geometry_name="wedge", operator="delta-prime", strength=beta,
+            wedge_phi=phi, momentum=momentum, n_list=n_list,
+            wedge_box_radius=R, wedge_levels=levels)
+        whole = experiments._wedge_quotients(p, full, beta, momentum, n_list,
+                                             window[0])
+        assert [q.hex() for q in rep.quantities["rayleigh_quotients"]] == [
+            q.hex() for q in whole]

@@ -333,3 +333,39 @@ def test_broken_layout_matches_unique_definition(name):
 @given(_random_partitions(), st.integers(0, 2))
 def test_broken_layout_matches_unique_definition_random(p, levels):
     _check_layout(mesh.triangulate(p, levels))
+
+
+def _windowed_wedge():
+    p = geometry.build_canonical_partition("wedge", {"phi": 3.0 * np.pi / 4.0,
+                                                     "box_radius": 20.0})
+    return p, mesh.triangulate(p, 2, (np.pi / 8.0, (4.0, 12.0, -4.0, 4.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, m: forms.assemble_delta(m, geometry.InteractionData.uniform(p, 1.0, 2.0)),
+    lambda p, m: forms.assemble_delta_prime(
+        m, geometry.InteractionData.uniform(p, 1.0, 2.0), "neumann"),
+    lambda p, m: forms.assemble_subdomain_robin(m, 1, 1.0),
+    lambda p, m: mesh.coarsen(m),
+    lambda p, m: mesh.export_mesh(m),
+    lambda p, m: mesh.mirror_permutation(m, 0.0),
+], ids=["assemble_delta", "assemble_delta_prime", "assemble_subdomain_robin",
+        "coarsen", "export_mesh", "mirror_permutation"])
+def test_windowed_mesh_is_refused(call):
+    """A windowed mesh does not tile the box: forms, coarsening, export and
+    reflection refuse it by name."""
+    p, m = _windowed_wedge()
+    assert m.window is not None
+    assert m.n_triangles < mesh.triangulate(p, 2).n_triangles
+    with pytest.raises(ValueError, match="not a windowed mesh"):
+        call(p, m)
+
+
+@pytest.mark.parametrize("window", [
+    (math.nan, (0.0, 1.0, 0.0, 1.0)), (0.0, (0.0, math.inf, 0.0, 1.0)),
+    (0.0, (1.0, 0.0, 0.0, 1.0)), (0.0, (0.0, 1.0, 1.0, 0.0)),
+])
+def test_bad_window_is_named(window):
+    p = geometry.build_canonical_partition("half_plane", {"box_radius": 4.0})
+    with pytest.raises(ValueError, match="window must be"):
+        mesh.triangulate(p, 1, window)
