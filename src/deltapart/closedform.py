@@ -164,7 +164,7 @@ def minimax_star() -> MinimaxReport:
 class IntervalResult:
     epsilon: float    # principal eigenvalue, = -k_rate^2
     k_rate: float
-    residual: float   # beta*k - 2/tanh(k*l) at the root
+    residual: float   # 1 - 2/(beta*k*tanh(k*l)) at the root
 
 
 def interval_delta_prime(beta: float, l: float) -> IntervalResult:
@@ -210,12 +210,10 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
     # strict mathematically; allow rounding slack for huge l where k -> 2/beta
     if eps > thr + 8.0 * np.finfo(float).eps * abs(thr):
         raise RuntimeError("computed eigenvalue violates the strict threshold bound")
-    y = k * l
-    # where y is subnormal, tanh(y) = y and beta*k may overflow, so
-    # beta*k - 2/tanh(y) is taken as (beta*k*y - 2)/y
-    residual = (beta * k - 2.0 / math.tanh(y) if y >= np.finfo(float).tiny
-                else root_fn(k) / y)
-    return IntervalResult(epsilon=eps, k_rate=k, residual=residual)
+    # relative to beta*k, which may overflow: with g = beta*k*tanh(kl) - 2,
+    # 1 - 2/(beta*k*tanh(kl)) = g/(g + 2)
+    g = root_fn(k)
+    return IntervalResult(epsilon=eps, k_rate=k, residual=g / (g + 2.0))
 
 
 def _interval_matrices(beta: float, l: float, n_elems: int):

@@ -4,7 +4,7 @@ assertions carry explicit tolerances and margins."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -49,19 +49,15 @@ class ExperimentReport:
 
     def check_le(self, name, computed, reference, tolerance, note=""):
         """Assert computed <= reference + tolerance."""
-        computed = float(computed)
-        reference = float(reference)
-        tolerance = float(tolerance)
-        margin = reference + tolerance - computed
-        self.assertions.append(Assertion(name, computed, reference, tolerance,
-                                         margin, margin >= 0.0, note))
+        c, r, t = map(float, (computed, reference, tolerance))
+        self._record(name, c, r, t, r + t - c, note)
 
     def check_abs(self, name, computed, reference, tolerance, note=""):
         """Assert |computed - reference| <= tolerance."""
-        computed = float(computed)
-        reference = float(reference)
-        tolerance = float(tolerance)
-        margin = tolerance - abs(computed - reference)
+        c, r, t = map(float, (computed, reference, tolerance))
+        self._record(name, c, r, t, t - abs(c - r), note)
+
+    def _record(self, name, computed, reference, tolerance, margin, note):
         self.assertions.append(Assertion(name, computed, reference, tolerance,
                                          margin, margin >= 0.0, note))
 
@@ -69,13 +65,7 @@ class ExperimentReport:
         return {
             "name": self.name,
             "quantities": jsonable(self.quantities),
-            "assertions": [
-                {"name": a.name, "computed": a.computed,
-                 "reference": a.reference, "tolerance": a.tolerance,
-                 "margin": a.margin, "passed": bool(a.passed),
-                 "note": a.note}
-                for a in self.assertions
-            ],
+            "assertions": [asdict(a) for a in self.assertions],
             "passed": self.passed,
         }
 
@@ -345,12 +335,11 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         beta = strength
         target = -4.0 / beta ** 2 + momentum ** 2
         R = wedge_box_radius
-        need = 2.0 * max(n_list) + 4.0 + 2.0 * max(n_list)
-        if need > R:
+        window = _wedge_window(wedge_phi, n_list)
+        if window[1][1] > R:
             raise ValueError("box too small for the test-function support")
         p = geometry.build_canonical_partition(
             "wedge", {"phi": wedge_phi, "box_radius": R})
-        window = _wedge_window(wedge_phi, n_list)
         m = mesh.triangulate(p, wedge_levels, window)
         quotients = _wedge_quotients(p, m, beta, momentum, n_list, window[0])
         rep.quantities.update({"target": target, "n_list": list(n_list),

@@ -121,6 +121,16 @@ def test_interval_subnormal_l(beta, l):
     assert np.isfinite(r.residual)
 
 
+@pytest.mark.parametrize("beta,l", [(1e300, 1e-300), (1e300, 1e-320),
+                                    (1e304, 1e-320)])
+def test_interval_residual_is_relative(beta, l):
+    """The residual is 1 - 2/(beta k tanh(kl)), so a root right to the last
+    bit reads near rounding even where beta*k is huge or overflows; the
+    absolute beta*k - 2/tanh(kl) read 2.97e+284 at (1e300, 1e-300)."""
+    r = closedform.interval_delta_prime(beta, l)
+    assert abs(r.residual) <= 4.0 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("beta,l", [(1e-300, 1.0), (1e-310, 1.0),
                                     (1.0, 1e-310), (1e300, 1e10),
                                     (1e300, 1e100)])

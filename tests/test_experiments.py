@@ -154,9 +154,10 @@ def test_experiment_registry_complete():
                          ids=["pi/3", "pi/2", "3pi/4"])
 def test_windowed_wedge_mesh_matches_whole_box(phi, levels):
     """The threshold run's windowed mesh holds the whole-box mesh's
-    triangles that meet the window, in their order and with their
-    coordinates; every kept interface edge has its four broken dofs; and
-    the quotients equal the whole-box ones bit for bit."""
+    triangles and interface edges that meet the window, in their order and
+    with their coordinates, ids, (k, l) and lengths; every kept interface
+    edge has its four broken dofs; and the quotients equal the whole-box
+    ones bit for bit."""
     R, beta, n_list = 40.0, 2.0, (4, 8)
     p = geometry.build_canonical_partition("wedge", {"phi": phi, "box_radius": R})
     window = experiments._wedge_window(phi, n_list)
@@ -168,6 +169,13 @@ def test_windowed_wedge_mesh_matches_whole_box(phi, levels):
                           full.nodes[full.triangles[kept]])
     assert np.array_equal(win.tri_subdomain, full.tri_subdomain[kept])
     assert 0 < win.n_triangles < full.n_triangles
+    edges = np.flatnonzero(mesh._meets_window(full.nodes, full.iface_edge_nodes,
+                                              window, 1e-9 * R))
+    assert np.array_equal(win.nodes[win.iface_edge_nodes],
+                          full.nodes[full.iface_edge_nodes[edges]])
+    assert np.array_equal(win.iface_edge_id, full.iface_edge_id[edges])
+    assert np.array_equal(win.iface_edge_kl, full.iface_edge_kl[edges])
+    assert np.array_equal(win.iface_edge_length, full.iface_edge_length[edges])
     table = forms.broken_dof_layout(win)[2]
     kl, ab = win.iface_edge_kl, win.iface_edge_nodes
     assert win.iface_edge_nodes.shape[0] > 0
