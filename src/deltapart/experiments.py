@@ -10,6 +10,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import _kernels, closedform, eigen, forms, geometry, mesh
+from .geometry import POSITIVE, array_of, check, whole
 
 __all__ = [
     "Assertion",
@@ -120,13 +121,16 @@ def run_ordering(geometry_name: str = "star3", geometry_params: Optional[dict] =
                  box_radius: float = 6.0, levels: int = 6, tol: float = 1e-8,
                  seed: int = 0) -> ExperimentReport:
     """Broken-space eigenvalues never exceed the continuous ones, level by
-    level, whenever beta <= edge_constant(chi)/alpha."""
+    level, whenever beta <= edge_constant(chi)/alpha.  For alpha <= 0 there
+    is no limit (beta_limit None): a continuous vector has no jumps, so its
+    delta' form is the stiffness, and its delta form adds -alpha times a
+    psd edge mass; min-max gives the ordering for every beta."""
     rep = ExperimentReport("ordering")
     p, m = mesh.canonical_mesh(geometry_name, geometry_params, box_radius, levels)
     d = geometry.InteractionData.uniform(p, alpha, beta)
     col = geometry.chromatic_colouring(geometry.adjacency_graph(p))
-    limit = geometry.edge_constant(col.chi) / alpha
-    hypothesis_ok = beta <= limit + 1e-12
+    limit = geometry.edge_constant(col.chi) / alpha if alpha > 0 else None
+    hypothesis_ok = limit is None or beta <= limit + 1e-12
     df = forms.assemble_delta(m, d, "dirichlet")
     bf = forms.assemble_delta_prime(m, d, "dirichlet")
     rd = _solve(df, k, tol, seed)
@@ -157,6 +161,7 @@ def run_unitary_identity(geometry_name: str = "half_plane",
     """The phase multiplication maps the broken form with jump weight 1/beta
     onto the continuous form with the induced strength, exactly."""
     rep = ExperimentReport("unitary_identity")
+    check(trials, whole(1), "trials")
     p, m = mesh.canonical_mesh(geometry_name, geometry_params, box_radius, levels)
     d = geometry.InteractionData.uniform(p, 0.0, beta)
     col = geometry.chromatic_colouring(geometry.adjacency_graph(p))
@@ -193,6 +198,10 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
                     box_radii=(8.0, 12.0, 16.0), levels_list=(5, 5, 6),
                     tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("star_bounds")
+    check(levels_list, (lambda v: len(v) == len(box_radii),
+                        "an array with one entry per box radius "
+                        f"({len(box_radii)})"),
+          "levels_list")
     bottom_delta = closedform.star_delta_bottom(alpha)
     mm = closedform.minimax_star()
     certified_dp = -mm.value / beta ** 2
@@ -283,7 +292,6 @@ def _wedge_quotients(p, m: mesh.Mesh, beta: float, momentum: float, n_list,
         psi = forms.sample_test_function(m, "wedge_psi_np", {
             "layout": (layout[0], layout[1]), "n": n, "p": momentum,
             "beta": beta, "center": 2.0 * n + 4.0, "angle": angle,
-            "upper": 1, "ray_length": m.box_radius,
         })
         quotients.append(_broken_rayleigh_local(m, layout[2], jump, psi))
     return quotients
@@ -298,6 +306,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
                               wedge_levels: int = 9, tol: float = 1e-8,
                               seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("threshold_convergence")
+    check(strength, POSITIVE, "strength")
     if geometry_name == "half_plane":
         if operator == "delta":
             threshold = -strength ** 2 / 4.0
@@ -404,6 +413,8 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
                                       (-1.0, 3.0)),
                                 tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("deformation_bound_state")
+    check(alpha, POSITIVE, "alpha")
+    check(n_list, array_of(POSITIVE), "n_list")
     # mesh-free quadrature route
     quad = {n: _deformation_quadrature(alpha, float(n), bump) for n in n_list}
     rep.quantities["quadrature_I_n"] = {n: q["value"] for n, q in quad.items()}

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .geometry import (FINITE, POSITIVE, InteractionData, PhaseAssignment,
-                       _param, whole)
+                       _param)
 from .mesh import Mesh, _whole_box, coarsen
 
 __all__ = [
@@ -380,7 +380,7 @@ def rayleigh(df: DiscreteForm, f: np.ndarray) -> float:
 _FAMILY_KEYS = {
     "deformation_fn": ({"n", "alpha"}, set()),
     "wedge_psi_np": ({"layout", "n", "beta", "center"},
-                     {"p", "angle", "upper", "ray_length"}),
+                     {"p", "angle"}),
 }
 FAMILIES = tuple(_FAMILY_KEYS)
 
@@ -392,11 +392,12 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     (dof_node, dof_subdomain).  The product is evaluated only on its
     support: in coordinates (xr, yr) turned by params["angle"], the dofs
     with sx = |xr - center| / n < 2 and sy = |yr| / n < 2, the same test as
-    `bump`'s s >= 2 cut.  Every other entry is +0.
+    `bump`'s s >= 2 cut.  Every other entry is +0.  The sign is +1 where
+    yr > 0 and on the ray's subdomain-1 dofs, -1 elsewhere; the support
+    must lie on the ray from 0 to the box radius.
 
-    A missing needed key, a key the family does not read, n <= 0, beta <= 0,
-    a number that is not finite or an upper id that is not a whole number
-    >= 1 raises ValueError naming the key."""
+    A missing needed key, a key the family does not read, n <= 0, beta <= 0
+    or a number that is not finite raises ValueError naming the key."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     needed, optional = _FAMILY_KEYS[family]
@@ -428,9 +429,7 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     beta = number("beta", POSITIVE)
     center = number("center")
     angle = number("angle", default=0.0)
-    upper = _param(params, "upper", 1, whole(1), "parameter 'upper'")
-    ray_length = number("ray_length", default=R)
-    if center - 2.0 * n < 0.0 or center + 2.0 * n > ray_length:
+    if center - 2.0 * n < 0.0 or center + 2.0 * n > R:
         raise ValueError("cutoff support exceeds the interface ray")
     ct, st = np.cos(angle), np.sin(angle)
     nx = m.nodes[dof_node]
@@ -442,7 +441,7 @@ def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
     xr, yr = xr[on], yr[on]
     tol = 1e-12 * max(R, 1.0)
     sign = np.where(yr > tol, 1.0, np.where(yr < -tol, -1.0,
-                    np.where(dof_subdomain[on] == upper, 1.0, -1.0)))
+                    np.where(dof_subdomain[on] == 1, 1.0, -1.0)))
     vals = np.zeros(sx.size, dtype=complex)
     vals[on] = (1.0 / np.sqrt(n)) * bump(sx[on]) * bump(sy[on]) \
         * sign * np.exp(-2.0 * np.abs(yr) / beta) * np.exp(1j * p * xr)

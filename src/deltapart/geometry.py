@@ -306,7 +306,7 @@ def _wedge(R: float, phi: float) -> _Cells:
     pool = _VertexPool(R)
     o = pool.add(0.0, 0.0)
     e1 = _ray_box_exit(math.pi / 2 - phi / 2, R)
-    e2 = _ray_box_exit(math.pi / 2 + phi / 2, R)
+    e2 = (-e1[0], e1[1])               # the mirror image: exactly symmetric
     i1 = pool.add(*e1)
     i2 = pool.add(*e2)
     wedge_loop = [o, i1] + [pool.add(*pt) for pt in _box_walk(e1, e2, R)] + [i2]
@@ -490,17 +490,20 @@ def _is_points(v) -> bool:
 POINTS = (_is_points, "a list of finite [x, y] points")
 
 
-def _param(params: dict, key: str, default, kind, label: str | None = None):
-    """Pop params[key] (or default) and check it against kind; a bad value
-    raises ValueError "<label> must be <what>, got <value!r>", the label
-    being "geometry parameter '<key>'" unless given."""
-    v = params.pop(key, default)
+def check(v, kind, label: str):
+    """v, if it is of kind; else ValueError "<label> must be <what>, got
+    <v!r>"."""
     ok, what = kind
     if not ok(v):
-        if label is None:
-            label = f"geometry parameter {key!r}"
         raise ValueError(f"{label} must be {what}, got {v!r}")
     return v
+
+
+def _param(params: dict, key: str, default, kind, label: str | None = None):
+    """Pop params[key] (or default) and `check` it against kind, the label
+    being "geometry parameter '<key>'" unless given."""
+    return check(params.pop(key, default), kind,
+                 label or f"geometry parameter {key!r}")
 
 
 def build_canonical_partition(name: str, params: dict | None = None) -> Partition:

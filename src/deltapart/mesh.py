@@ -150,8 +150,7 @@ def _coarse_mesh(p: Partition):
                     ma = pool.add(-pool.coords[a][0], pool.coords[a][1])
                     mb = pool.add(-pool.coords[b][0], pool.coords[b][1])
                     mc = pool.add(-pool.coords[c][0], pool.coords[c][1])
-                    if len({ma, mb, mc}) == 3 and (ma, mb, mc) != (a, b, c):
-                        cell_tris.append((mc, mb, ma))
+                    cell_tris.append((mc, mb, ma))
             tris.extend(cell_tris)
             tri_sub.extend([sub.id] * len(cell_tris))
     nodes = pool.array()
@@ -366,17 +365,16 @@ def _check_mesh(p: Partition, m: Mesh) -> None:
 # ---------------------------------------------------------------------------
 
 def mirror_permutation(m: Mesh, axis: float) -> np.ndarray:
+    """perm[i] is the node at the exact mirror image of node i."""
     _whole_box(m, "mirror_permutation")
-    from scipy.spatial import cKDTree   # only here, off the import path
-
-    mirrored = m.nodes.copy()
-    mirrored[:, 0] = 2.0 * axis - mirrored[:, 0]
-    tree = cKDTree(m.nodes)
-    dist, perm = tree.query(mirrored, k=1)
-    scale = max(m.box_radius, 1.0)
-    if np.max(dist) > 1e-9 * scale or not np.array_equal(np.sort(perm), np.arange(m.n_nodes)):
+    x, y = m.nodes[:, 0], m.nodes[:, 1]
+    mx = 2.0 * axis - x
+    a, b = np.lexsort((y, x)), np.lexsort((y, mx))
+    if not (np.array_equal(x[a], mx[b]) and np.array_equal(y[a], y[b])):
         raise ValueError("mesh is not reflection-symmetric about the axis")
-    return perm.astype(np.int64)
+    perm = np.empty(m.n_nodes, dtype=np.int64)
+    perm[b] = a
+    return perm
 
 
 def reflect_split(m: Mesh, axis: float, f: np.ndarray):

@@ -184,6 +184,56 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, command, field,
     assert err.startswith(f"error: {field} must be ")
 
 
+@pytest.mark.parametrize("experiment,name,config", [
+    ("threshold", "strength", {"experiment": {"operator": "delta-prime",
+                                              "strength": 0, "levels": 2}}),
+    ("threshold", "strength", {"experiment": {"operator": "delta",
+                                              "strength": -1, "levels": 2}}),
+    ("threshold", "strength", {"geometry": {"name": "wedge"},
+                               "experiment": {"operator": "delta-prime",
+                                              "strength": 0, "wedge_levels": 2}}),
+    ("deformation", "alpha", {"alpha": 0}),
+    ("deformation", "alpha", {"alpha": -1}),
+    ("deformation", "n_list", {"experiment": {"n_list": [0, 4]}}),
+    ("star-bounds", "levels_list", {"experiment": {"box_radii": [4, 5, 6, 7],
+                                                   "levels_list": [2, 2]}}),
+    ("unitary", "trials", {"experiment": {"trials": 0}}),
+], ids=["threshold-delta-prime", "threshold-delta", "threshold-wedge",
+        "deformation-alpha-0", "deformation-alpha-negative", "deformation-n-0",
+        "star-bounds-lengths", "unitary-no-trials"])
+def test_experiment_arguments_out_of_domain(tmp_path, capsys, experiment, name,
+                                            config):
+    """An argument outside its experiment's domain ends in exit 1 naming it,
+    before any arithmetic: no traceback, and no verdict on a run that
+    checked nothing or fewer cases than asked."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"geometry": {"name": "half_plane"},
+                             "box_radius": 4, "levels": 2, **config}))
+    assert cli.main(["--format", "text", "verify", experiment,
+                     "--config", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {name} must be ")
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("alpha", [0, -1])
+def test_ordering_without_attraction_is_asserted(tmp_path, capsys, alpha):
+    """For alpha <= 0 the ordering holds for every beta: no beta limit, and
+    every lambda_j line is asserted and passes."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"geometry": {"name": "star3"}, "box_radius": 4,
+                             "levels": 2, "alpha": alpha, "beta": 3,
+                             "solver": {"k": 3}}))
+    assert cli.main(["verify", "ordering", "--config", str(f)]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["quantities"]["hypothesis_ok"] is True
+    assert d["quantities"]["beta_limit"] is None
+    assert [a["name"] for a in d["assertions"]] == [
+        f"lambda_{j}(delta_prime) <= lambda_{j}(delta)" for j in (1, 2, 3)]
+    assert d["passed"] is True
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     f = tmp_path / "cfg.json"
@@ -333,13 +383,20 @@ def _fresh_python(*args):
 
 
 def test_cli_import_leaves_optional_scipy_out():
-    """integrate, optimize and spatial serve one function each and are
-    imported there, so the CLI's import path does not pay for them."""
+    """integrate and optimize serve one function each and are imported
+    there, so the CLI's import path does not pay for them; spatial is used
+    nowhere, not even by the mirror split of a wedge mesh."""
     out = _fresh_python("-c", "import sys, deltapart.cli; print(sorted(m for m in"
                         " ('scipy.integrate', 'scipy.optimize', 'scipy.spatial')"
                         " if m in sys.modules))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+    out = _fresh_python("-c", "import sys, numpy as np; from deltapart import mesh;"
+                        " _, m = mesh.canonical_mesh('wedge', None, 4.0, 2);"
+                        " mesh.reflect_split(m, 0.0, np.ones(m.n_nodes));"
+                        " print('scipy.spatial' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_runs_as_module_under_warning_errors():

@@ -198,7 +198,7 @@ def test_sample_test_function_errors():
     # every needed key is required, and each number is checked by name
     dof_node, dof_sub, _ = forms.broken_dof_layout(m)
     wedge = {"layout": (dof_node, dof_sub), "n": 0.25, "beta": 2.0,
-             "center": 0.75, "ray_length": 2.0}
+             "center": 0.75}
     assert forms.sample_test_function(m, "wedge_psi_np", wedge).shape == dof_node.shape
     for family, params, key in (
             ("deformation_fn", {"alpha": 1.0}, "n"),
@@ -212,11 +212,16 @@ def test_sample_test_function_errors():
     bad += [("deformation_fn", {"n": 1.0}, "alpha", v) for v in (np.inf, "x", None)]
     bad += [("wedge_psi_np", wedge, key, v) for key, values in (
         ("n", (0.0, -1.0, np.inf)), ("beta", (0.0, -2.0, np.nan)),
-        ("center", (np.nan, "x")), ("p", (np.inf,)), ("angle", (np.nan,)),
-        ("upper", (np.inf,)), ("ray_length", (np.nan,))) for v in values]
+        ("center", (np.nan, "x")), ("p", (np.inf,)), ("angle", (np.nan,)))
+        for v in values]
     for family, params, key, value in bad:
         with pytest.raises(ValueError, match=f"parameter '{key}' must be"):
             forms.sample_test_function(m, family, {**params, key: value})
+    # the upper subdomain and the ray length are fixed (1 and the box
+    # radius), so the retired keys are unknown
+    for key, value in (("upper", 1), ("ray_length", 2.0)):
+        with pytest.raises(ValueError, match=f"unknown parameters.*'{key}'"):
+            forms.sample_test_function(m, "wedge_psi_np", {**wedge, key: value})
 
 
 def test_export_matrix_roundtrip():
@@ -329,8 +334,7 @@ def test_wedge_local_quotient_of_complex_vector():
     dof_node, dof_sub, table = forms.broken_dof_layout(m)
     psi = forms.sample_test_function(m, "wedge_psi_np", {
         "layout": (dof_node, dof_sub), "n": n, "p": 0.7, "beta": beta,
-        "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0,
-        "upper": 1, "ray_length": R})
+        "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0})
     assert np.max(np.abs(psi.imag)) > 0.1
     local = experiments._broken_rayleigh_local(
         m, table, forms.jump_coupling(m, d.beta, table), psi)
@@ -338,7 +342,7 @@ def test_wedge_local_quotient_of_complex_vector():
 
 
 def _wedge_psi_full_box(m, dof_node, dof_subdomain, n, p, beta, center,
-                        angle, upper, ray_length):
+                        angle):
     """wedge_psi_np evaluated on every broken dof of the box: the reference
     for the support-only sampler, with the same expressions in the same
     operand order."""
@@ -349,7 +353,7 @@ def _wedge_psi_full_box(m, dof_node, dof_subdomain, n, p, beta, center,
     yr = -nx[:, 0] * st + nx[:, 1] * ct
     tol = 1e-12 * max(R, 1.0)
     sign = np.where(yr > tol, 1.0, np.where(yr < -tol, -1.0,
-                    np.where(dof_subdomain == upper, 1.0, -1.0)))
+                    np.where(dof_subdomain == 1, 1.0, -1.0)))
     return (1.0 / np.sqrt(n)) * forms.bump(np.abs(xr - center) / n) \
         * forms.bump(np.abs(yr) / n) * sign * np.exp(-2.0 * np.abs(yr) / beta) \
         * np.exp(1j * p * xr)
@@ -364,7 +368,7 @@ def test_wedge_psi_matches_the_full_box_formula(momentum):
     dof_node, dof_sub, _ = forms.broken_dof_layout(m)
     for n in (2.0, 4.0, 8.0):
         params = {"n": n, "p": momentum, "beta": 2.0, "center": 2.0 * n + 4.0,
-                  "angle": np.pi / 2.0 - phi / 2.0, "upper": 1, "ray_length": R}
+                  "angle": np.pi / 2.0 - phi / 2.0}
         got = forms.sample_test_function(
             m, "wedge_psi_np", {"layout": (dof_node, dof_sub), **params})
         want = _wedge_psi_full_box(m, dof_node, dof_sub, **params)
@@ -393,8 +397,7 @@ def test_wedge_quotient_memory_is_bounded():
         for n in (8.0, 16.0, 32.0):
             psi = forms.sample_test_function(m, "wedge_psi_np", {
                 "layout": (dof_node, dof_sub), "n": n, "beta": beta,
-                "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0,
-                "upper": 1, "ray_length": R})
+                "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0})
             experiments._broken_rayleigh_local(m, table, jump, psi)
             del psi
         peak = tracemalloc.get_traced_memory()[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deltapart import geometry
+from deltapart import geometry, mesh
 
 
 BOX = 6.0
@@ -40,6 +40,33 @@ def test_interfaces_reference_existing_subdomains(name):
             float(np.linalg.norm(p.vertices[b] - p.vertices[a]))
             for a, b in itf.segments)
         assert seg_len == pytest.approx(itf.length, rel=1e-12)
+
+
+# the wedge angles pinned in test_numbering.py, the two that snap one ray
+# exit onto a box corner, and the 11 angles (i + 1/2) pi/200 of a 200-angle
+# grid whose separately computed exits missed each other's mirror at R = 40
+# or 140
+_WEDGE_PHIS = [2 * math.pi / 3, math.pi / 2, math.pi / 2 - 1e-10,
+               math.pi / 2 + 1e-10, math.pi / 2 - 1.5e-9, math.pi / 2 + 1.5e-9,
+               3 * math.pi / 4, math.pi, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9]
+_WEDGE_PHIS += [(i + 0.5) * math.pi / 200
+                for i in (29, 38, 65, 67, 68, 69, 117, 130, 131, 134, 161)]
+
+
+def _mirror_closed(points):
+    pts = {(x, y) for x, y in points.tolist()}
+    return pts == {(-x, y) for x, y in pts}
+
+
+@pytest.mark.parametrize("box_radius", [4.0, 140.0, 1000.0])
+def test_wedge_is_exactly_mirror_symmetric(box_radius):
+    """The vertices and the nodes of levels 0-3 are closed under x -> -x,
+    bit for bit, so every wedge meshes."""
+    for phi in _WEDGE_PHIS:
+        p = _build("wedge", phi=phi, box_radius=box_radius)
+        assert _mirror_closed(p.vertices), phi
+        for level in range(4):
+            assert _mirror_closed(mesh.triangulate(p, level).nodes), (phi, level)
 
 
 def test_unknown_geometry_rejected():

@@ -148,6 +148,20 @@ def test_mirror_permutation_is_involution():
     assert np.array_equal(perm[perm], np.arange(m.n_nodes))
 
 
+@pytest.mark.parametrize("phi", [2 * math.pi / 3, math.pi / 2 + 1e-9, math.pi])
+def test_mirror_permutation_maps_onto_the_exact_mirror(phi):
+    """perm[i] is the node at exactly (2 axis - x_i, y_i), bit for bit; a
+    mirror axis the mesh is not symmetric about is refused."""
+    for box_radius in (4.0, 140.0):
+        for level in range(4):
+            _, m = _mesh("wedge", level, box_radius, phi=phi)
+            perm = mesh.mirror_permutation(m, 0.0)
+            assert np.array_equal(m.nodes[perm, 0], -m.nodes[:, 0])
+            assert np.array_equal(m.nodes[perm, 1], m.nodes[:, 1])
+    with pytest.raises(ValueError, match="not reflection-symmetric"):
+        mesh.mirror_permutation(m, 1e-12)
+
+
 def test_reflect_split_recombination_and_axis_zero():
     _, m = _mesh("wedge", 3)
     rng = np.random.default_rng(5)

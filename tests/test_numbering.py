@@ -38,13 +38,13 @@ _DIGESTS = {
                     "b43e60912fcbf29ba3c8f53f3cb3314c1ad9e6658e1a17df7d15925f0170798f"),
     ("half_plane", 3): ("62cd262510f2125bcd0a53a73511a886d7e9339921c918fb7f04f6d3cc0bc4d8",
                     "7dd8524ef1fa5b0c0bcbcbd0e49c63d3c4f74d440ec79fb055ca157fdb520e4b"),
-    ("wedge", 0): ("d9a65eb76b75efdf7acaf8a5cca5007ef77b4cc8a0e4c6299d633108f5a6a301",
+    ("wedge", 0): ("ea203eaf1f925d72983f211fee6da760b277aefb8bea7478a69b54cd1587e333",
                     "6569eafabd9043f0061e17a785c93673f2925e3010315ff7eb2ae7ed2f4887ff"),
-    ("wedge", 1): ("3c176dfd9af4187c6dc82ccf1a95c1118b7ae7f678eb3aaaa26c7815e891710e",
+    ("wedge", 1): ("b48583eb3c6f39f74b4405acab70378ab021e26742b02f5701dc32354e901c3c",
                     "e843850186663fde0894d2b7515a1f630c3887297f0b67deb3b43685eab045f2"),
-    ("wedge", 2): ("6f8b49727115992bc6633e91f9f586bd2cb1194feac5f4d82279d219b7796bf0",
+    ("wedge", 2): ("205e41ee0354702cd37080d042a2393ddb13dce6335ffb3881fc86b52ebfc926",
                     "29d52b5b623a8c2400745ca5be973360f10eaa012abb331b62a38be146ac8813"),
-    ("wedge", 3): ("6ad801042f080a82d351e716852e6a193cdffdfc06ced860213b234079c95795",
+    ("wedge", 3): ("8c3eba308de9e5e8b3e39d8600046a7e435b9c581576cb023b52289130794fda",
                     "9f35cc8ac112392a227b750cf8ac607de74726fa56b6c163c061d8a5e034eb92"),
     ("star3", 0): ("103e972150a1c84591d3a90f4275f2f93a284124f20f6af162c7be8a043063a6",
                     "291a09ae691460784af93d2707fbf2afeb0dd24e2db7d288cbe53698d7dd3aa2"),
@@ -126,11 +126,11 @@ _FORM_DIGESTS = {
         "a77a68ff77cba21e6221cff890ffc320c1eeb2dcb299eae5826eb51010aa6ec8",
     ),
     "wedge": (
-        "c709ac4be573dc959ed523e786ecb9654cfc1f08d2e5e6eabe5cbb1e98d85726",
-        "0cd1b36ad4d7d5c70bebb6e257864bb47328ff115da72ee2922c889f9e3a9fb4",
-        "ef949403463c0947b5dca10b3c9df54042f2419a3197cc0589c4b7b486910125",
-        "dd2920cbadc1aa16adf7fc7fe9a668af1982c4d3c012ac05f082201b2b2bec2a",
-        "b27c0dec968501e4d8fae07d629e33498d30f456e2b66ee2de061ad2afaf0d91",
+        "024aabb03d25c7b984ea5b62cbb6db0eb365793d1151d94a5f997048edca148b",
+        "b9b501d21c3fe9c3317610cf0dce855a2feef36b2c1d324c5c6c9d551f19a54c",
+        "20278c1b614578569e55dc26b174446e277ce597740fd40b217bf4b277f72c7c",
+        "eec8f78382b65ed08d2dc76f202e4c7f86baeebea24decb39a99893a5fb3006f",
+        "fc2f945b6d235831bb921aa49fcd1600754e83e6fe2401274dec4925612d5ecb",
     ),
     "star3": (
         "ed6b6e72f815acc383808a7641eeb44b96d3d3d71215a9c18ca3df013f725caa",
@@ -212,7 +212,7 @@ _PARTITION_CASES = {
 
 _PARTITION_DIGESTS = {
     "half_plane": "1b4600a031a3c9b0b0e14f9695dd4cc5af632defc5a1ae8700a4e086116828d6",
-    "wedge": "68abd0e01df5c54228b0ab14e98376067e038f61f17122d266838ab5ea32f5c7",
+    "wedge": "36184a003d221aca1cd903f4aac286f409a115ed87e15d629ea0c5aed602a8ee",
     "star3": "00e207c366b88e7994ffa740012074e063a403675e491cde8588e405611fd4cc",
     "line_with_bump": "847638752dd4d134860cf017e0eec1a1055cac665261c954f233ed6dde4d1d70",
     "grid": "3626c5547aabbe0d7679a047bd97d2e812ae9d3801497f828d3e24cf3c4b27df",
@@ -220,9 +220,9 @@ _PARTITION_DIGESTS = {
     "wedge pi/2": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
     "wedge pi/2-1e-10": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
     "wedge pi/2+1e-10": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
-    "wedge pi/2-1.5e-9": "9cda4a558c0e5f01179997be0262614729c42fe60171c41d8e2f5f1e4ce2c008",
+    "wedge pi/2-1.5e-9": "92615a04f5755e6e501e3406182f50037379d6652c835c6467ee54e540550cd0",
     "wedge pi/2+1.5e-9": "274626f7086032248a342e61114d6da50498eccc428a3290fa12876becc76dd8",
-    "wedge 3pi/4": "20512afb602acfb3dade35254a69e4bb35e0f1de95306ad75c03afe3f1db880d",
+    "wedge 3pi/4": "e72d2b35c955e95698d3f0cebf9b4e93ac3e8176a7dca189f264c91cbf354240",
     "wedge pi": "8572ce4ca461dc34e3f5ee2fafb0b83d270037abb2e8eff48f2632c5d5fc07a0",
     "grid 3x5": "e758015fbc3e4e65c4d2fd4d1c9987b8770399b0120386428b8967292d1aa9e3",
     "grid chi4": "691da8620633f334fa6e2ea5baf91a8feca85b04d7b09820bcb792a6817414e7",
