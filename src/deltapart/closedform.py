@@ -4,6 +4,7 @@ interval jump-coupling eigenvalue, and the six-vector sum inequality."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,6 +104,7 @@ class MinimaxReport:
     discrepancy: bool            # derived value vs printed value disagree
 
 
+@functools.cache
 def _grid_oracle(n: int = 1_000_001) -> float:
     """Dense t-grid oracle (>= 10^6 points), independent of the closed-form
     crossing curve: for every t the inner min over omega of max(M1, M2) is

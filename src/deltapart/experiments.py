@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import _kernels, closedform, eigen, forms, geometry, mesh
-from .geometry import POSITIVE, array_of, check, whole
+from .geometry import POINTS, POSITIVE, array_of, check, whole
 
 __all__ = [
     "Assertion",
@@ -344,6 +344,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         beta = strength
         target = -4.0 / beta ** 2 + momentum ** 2
         R = wedge_box_radius
+        check(n_list, array_of(whole(1)), "n_list")
         window = _wedge_window(wedge_phi, n_list)
         if window[1][1] > R:
             raise ValueError("box too small for the test-function support")
@@ -413,6 +414,7 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
                                       (-1.0, 3.0)),
                                 tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("deformation_bound_state")
+    check(bump, POINTS, "bump")
     check(alpha, POSITIVE, "alpha")
     check(n_list, array_of(POSITIVE), "n_list")
     # mesh-free quadrature route

@@ -5,8 +5,8 @@ operator-ordering machinery.
 A partition lives in the box [-R, R]^2. Subdomains are unions of simple
 polygon cells sharing one integer id (several cells are only needed for
 annulus-like subdomains, which are split by seams; seams between cells of
-the same id are not interfaces). Interfaces are the shared polylines
-between cells of different ids.
+the same id are not interfaces). There is one interface per pair k < l of
+neighbouring ids: the set of cell edges that subdomains k and l share.
 """
 
 from __future__ import annotations
@@ -48,13 +48,8 @@ class Interface:
     id: int
     k: int
     l: int
-    polyline: Tuple[int, ...]  # consecutive vertex indices; closed iff first == last
+    segments: Tuple[Tuple[int, int], ...]  # shared edges, sorted vertex pairs, sorted
     length: float
-
-    @property
-    def segments(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((self.polyline[i], self.polyline[i + 1])
-                     for i in range(len(self.polyline) - 1))
 
 
 @dataclass(frozen=True)
@@ -161,58 +156,23 @@ class _VertexPool:
 
 def _derive_interfaces(vertices: np.ndarray,
                        subdomains: Sequence[Subdomain]) -> Tuple[Interface, ...]:
-    """Interfaces = edges shared by cells of two different subdomain ids,
-    chained into polylines per unordered id pair."""
+    """One interface per pair k < l of ids whose cells share an edge: those
+    edges, numbered 1... in sorted pair order."""
     owners: Dict[Tuple[int, int], List[int]] = {}
     for sub in subdomains:
         for loop in sub.loops:
-            n = len(loop)
-            for i in range(n):
-                a, b = loop[i], loop[(i + 1) % n]
-                key = (min(a, b), max(a, b))
-                owners.setdefault(key, []).append(sub.id)
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                owners.setdefault((min(a, b), max(a, b)), []).append(sub.id)
     pair_edges: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for edge, ids in owners.items():
+    for edge, ids in sorted(owners.items()):
         if len(ids) == 2 and ids[0] != ids[1]:
-            k, l = sorted(ids)
-            pair_edges.setdefault((k, l), []).append(edge)
-    interfaces: List[Interface] = []
-    next_id = 1
-    for (k, l) in sorted(pair_edges):
-        for chain in _chain_edges(pair_edges[(k, l)]):
-            pts = vertices[list(chain)]
-            length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-            interfaces.append(Interface(next_id, k, l, tuple(chain), length))
-            next_id += 1
+            pair_edges.setdefault((min(ids), max(ids)), []).append(edge)
+    interfaces = []
+    for iid, ((k, l), edges) in enumerate(sorted(pair_edges.items()), start=1):
+        a, b = np.array(edges).T
+        length = math.fsum(np.linalg.norm(vertices[b] - vertices[a], axis=1))
+        interfaces.append(Interface(iid, k, l, tuple(edges), length))
     return tuple(interfaces)
-
-
-def _chain_edges(edges: List[Tuple[int, int]]) -> List[List[int]]:
-    """Group undirected edges into maximal open chains or closed loops."""
-    adj: Dict[int, List[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    unused = {tuple(sorted(e)) for e in edges}
-
-    def step(v: int) -> int | None:
-        """Leave v along its smallest unused edge, using it up."""
-        for nb in sorted(adj[v]):
-            if (edge := (min(v, nb), max(v, nb))) in unused:
-                unused.remove(edge)
-                return nb
-        return None
-
-    chains: List[List[int]] = []
-    # open chains start at their ends, so only loops start mid-way
-    for start in sorted(v for v, nb in adj.items() if len(nb) == 1) + sorted(adj):
-        while (nxt := step(start)) is not None:
-            chain = [start]
-            while nxt is not None:
-                chain.append(nxt)
-                nxt = step(nxt)
-            chains.append(chain)
-    return chains
 
 
 def validate_partition(p: Partition) -> None:
@@ -553,8 +513,7 @@ def build_canonical_partition(name: str, params: dict | None = None) -> Partitio
 
 def adjacency_graph(p: Partition) -> Graph:
     nodes = tuple(sorted(s.id for s in p.subdomains))
-    edges = sorted({(min(i.k, i.l), max(i.k, i.l)) for i in p.interfaces if i.length > 0})
-    return Graph(nodes, tuple(edges))
+    return Graph(nodes, tuple((i.k, i.l) for i in p.interfaces))
 
 
 MAX_EXACT_VERTICES = 24
@@ -624,10 +583,9 @@ _EXACT_PHASES = {0.0: 1 + 0j, 0.5: 1j, 1.0: -1 + 0j, 1.5: -1j}
 
 
 def phase_assignment(p: Partition, c: Colouring, d: InteractionData) -> PhaseAssignment:
-    g = adjacency_graph(p)
-    for a, b in g.edges:
-        if c.phi[a] == c.phi[b]:
-            raise ValueError(f"colouring not proper on edge {(a, b)}")
+    for itf in p.interfaces:
+        if c.phi[itf.k] == c.phi[itf.l]:
+            raise ValueError(f"colouring not proper on edge {(itf.k, itf.l)}")
     z: Dict[int, complex] = {}
     for sid in p.subdomain_ids():
         frac = 2.0 * c.phi[sid] / c.chi   # phase angle in units of pi

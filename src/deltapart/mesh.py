@@ -163,9 +163,8 @@ def _derive_interface_edges(p: Partition, nodes, triangles, tri_subdomain):
     """Node pair, interface id, (k, l) and length of every coarse-mesh edge
     between two subdomains, in sorted node-pair order.  The coarse mesh
     numbers the partition's vertices first, so these edges must be exactly
-    the interfaces' polyline segments, looked up by sorted vertex pair."""
-    segment = {(min(a, b), max(a, b)): itf
-               for itf in p.interfaces for a, b in itf.segments}
+    the interfaces' segments, which are sorted vertex pairs."""
+    segment = {e: itf for itf in p.interfaces for e in itf.segments}
     sides: Dict[Tuple[int, int], List[int]] = {}
     for (a, b, c), s in zip(triangles.tolist(), tri_subdomain.tolist()):
         for u, v in ((a, b), (b, c), (c, a)):

@@ -192,15 +192,22 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, command, field,
     ("threshold", "strength", {"geometry": {"name": "wedge"},
                                "experiment": {"operator": "delta-prime",
                                               "strength": 0, "wedge_levels": 2}}),
+    ("threshold", "n_list", {"geometry": {"name": "wedge"},
+                             "experiment": {"operator": "delta-prime",
+                                            "n_list": [0, 4], "wedge_levels": 2}}),
     ("deformation", "alpha", {"alpha": 0}),
     ("deformation", "alpha", {"alpha": -1}),
     ("deformation", "n_list", {"experiment": {"n_list": [0, 4]}}),
+    ("deformation", "bump", {"experiment": {"bump": [[-1, 1, 0], [1, 1, 0],
+                                                     [1, 3, 0]]}}),
+    ("deformation", "bump", {"experiment": {"bump": [[-1, 1], [1, 1], [1]]}}),
     ("star-bounds", "levels_list", {"experiment": {"box_radii": [4, 5, 6, 7],
                                                    "levels_list": [2, 2]}}),
     ("unitary", "trials", {"experiment": {"trials": 0}}),
 ], ids=["threshold-delta-prime", "threshold-delta", "threshold-wedge",
-        "deformation-alpha-0", "deformation-alpha-negative", "deformation-n-0",
-        "star-bounds-lengths", "unitary-no-trials"])
+        "threshold-wedge-n-0", "deformation-alpha-0",
+        "deformation-alpha-negative", "deformation-n-0", "deformation-bump-3d",
+        "deformation-bump-ragged", "star-bounds-lengths", "unitary-no-trials"])
 def test_experiment_arguments_out_of_domain(tmp_path, capsys, experiment, name,
                                             config):
     """An argument outside its experiment's domain ends in exit 1 naming it,

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -105,10 +106,12 @@ def test_star3_interface_lengths():
 
 
 def test_island_has_closed_interface():
+    """The island's one interface is a closed curve: each of its vertices
+    ends exactly two of its segments."""
     p = _build("island")
     assert len(p.interfaces) == 1
-    poly = p.interfaces[0].polyline
-    assert poly[0] == poly[-1]
+    degree = Counter(v for seg in p.interfaces[0].segments for v in seg)
+    assert set(degree.values()) == {2}
 
 
 def test_chromatic_numbers():

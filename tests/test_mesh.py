@@ -86,12 +86,44 @@ def _random_partitions(draw):
                            "bump": _convex_polygon(draw, 2.0, 1.5)})
 
 
+_partitions = st.one_of(
+    _random_partitions(),
+    st.builds(lambda rows, cols: geometry.build_canonical_partition(
+        "grid", {"rows": rows, "cols": cols}), st.integers(1, 4), st.integers(1, 6)),
+    st.builds(lambda phi: geometry.build_canonical_partition("wedge", {"phi": phi}),
+              st.floats(1e-3, math.pi)),
+    st.sampled_from(geometry.CANONICAL_NAMES).map(geometry.build_canonical_partition))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_partitions)
+def test_one_interface_per_neighbouring_pair(p):
+    """Interface l, numbered in sorted (k, l) order, is every cell edge that
+    subdomains k and l share, as sorted vertex pairs in sorted order, and its
+    length is the correctly rounded sum of their lengths."""
+    owners = {}
+    for s in p.subdomains:
+        for loop in s.loops:
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                owners.setdefault((min(a, b), max(a, b)), []).append(s.id)
+    shared = {e: tuple(sorted(ids)) for e, ids in owners.items()
+              if len(ids) == 2 and ids[0] != ids[1]}
+    pairs = sorted(set(shared.values()))
+    assert [(itf.k, itf.l) for itf in p.interfaces] == pairs
+    assert [itf.id for itf in p.interfaces] == list(range(1, len(pairs) + 1))
+    for itf in p.interfaces:
+        assert itf.segments == tuple(sorted(e for e, kl in shared.items()
+                                            if kl == (itf.k, itf.l)))
+        a, b = np.array(itf.segments).T
+        assert itf.length == math.fsum(
+            np.linalg.norm(p.vertices[b] - p.vertices[a], axis=1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_random_partitions())
-def test_interface_edges_are_the_polyline_segments(p):
+def test_interface_edges_are_the_interface_segments(p):
     m0 = mesh.triangulate(p, 0)
-    want = {(min(a, b), max(a, b)): itf for itf in p.interfaces
-            for a, b in itf.segments}
+    want = {e: itf for itf in p.interfaces for e in itf.segments}
     assert _cut_edges(m0) == {e: (itf.k, itf.l) for e, itf in want.items()}
     got = {tuple(e): int(i) for e, i in zip(m0.iface_edge_nodes.tolist(),
                                             m0.iface_edge_id)}

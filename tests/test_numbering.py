@@ -10,7 +10,7 @@ forms on those meshes: A and M (data, indices, indptr), the coercivity
 bound and the dof maps of every assembler, so a change to the summation
 order of the assembly fails here too.  The partitions themselves are
 pinned for more inputs than the meshes: vertices, each subdomain's loops,
-each interface's polyline and length, and the exact colouring, so a
+each interface's segments and length, and the exact colouring, so a
 rewrite of the geometry code that reorders a loop or an interface fails
 here even where the mesh would hide it.  A deliberate renumbering or
 reordering must update the digests together with a note on why it
@@ -211,24 +211,24 @@ _PARTITION_CASES = {
 }
 
 _PARTITION_DIGESTS = {
-    "half_plane": "1b4600a031a3c9b0b0e14f9695dd4cc5af632defc5a1ae8700a4e086116828d6",
-    "wedge": "36184a003d221aca1cd903f4aac286f409a115ed87e15d629ea0c5aed602a8ee",
-    "star3": "00e207c366b88e7994ffa740012074e063a403675e491cde8588e405611fd4cc",
-    "line_with_bump": "847638752dd4d134860cf017e0eec1a1055cac665261c954f233ed6dde4d1d70",
-    "grid": "3626c5547aabbe0d7679a047bd97d2e812ae9d3801497f828d3e24cf3c4b27df",
-    "island": "5167764341eed76d5d6e9a5d45a8ad45bec70134d6d3aa2a2ddb325423b44669",
-    "wedge pi/2": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
-    "wedge pi/2-1e-10": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
-    "wedge pi/2+1e-10": "fda4521ae6d3d1a1345524c0a54a34f1f65e4c6b3c6384ed1564ae418962b8fb",
-    "wedge pi/2-1.5e-9": "92615a04f5755e6e501e3406182f50037379d6652c835c6467ee54e540550cd0",
-    "wedge pi/2+1.5e-9": "274626f7086032248a342e61114d6da50498eccc428a3290fa12876becc76dd8",
-    "wedge 3pi/4": "e72d2b35c955e95698d3f0cebf9b4e93ac3e8176a7dca189f264c91cbf354240",
-    "wedge pi": "8572ce4ca461dc34e3f5ee2fafb0b83d270037abb2e8eff48f2632c5d5fc07a0",
-    "grid 3x5": "e758015fbc3e4e65c4d2fd4d1c9987b8770399b0120386428b8967292d1aa9e3",
-    "grid chi4": "691da8620633f334fa6e2ea5baf91a8feca85b04d7b09820bcb792a6817414e7",
-    "island sides 5": "0591a3dd297a355089a5a08073dc946cf4e9d0bc41f89ca8a158fe70ba8b9a84",
-    "island polygon": "b129c811a130437ce28317f56a6f57c9639241adf20db433f48aee0722e01f5a",
-    "line_with_bump bump": "c1f75f741cd7ab87343026ec6c7f717c25a14fe7bc9c706df468e126cab8c6ca",
+    "half_plane": "a9398ccaf6ba449d344d1849565eb9750fa3def593c58bf80950a9556342aaf8",
+    "wedge": "40d2a08d05dceb7c788348ebbe8bab3017b77c8543dd8bad257d1bff03cf2c78",
+    "star3": "793902eee0e0863a8b294975ced4dcb111ae13e22b324a7e0a8dc8bb6f505001",
+    "line_with_bump": "d5b8e0a905087824b675c77b2e73a5e7853edca391303924924ffeead2edba73",
+    "grid": "1d6438318fe2cf31deaa4c327f9387c35ba97bb8b9f34ec4913f0d4f921070e5",
+    "island": "3342605cd946e7fe71bea34582d7bd23e6afa9a8f6234df037c1ee0f180d0d4b",
+    "wedge pi/2": "d163720385e512978a90b11c096d5320fb9ebe2f7d06c757c63194ea31ef14de",
+    "wedge pi/2-1e-10": "d163720385e512978a90b11c096d5320fb9ebe2f7d06c757c63194ea31ef14de",
+    "wedge pi/2+1e-10": "d163720385e512978a90b11c096d5320fb9ebe2f7d06c757c63194ea31ef14de",
+    "wedge pi/2-1.5e-9": "da05332650a27f6aceddd039769242ed175079c9ef7b02bf3530b8b06adffbbf",
+    "wedge pi/2+1.5e-9": "b957979ed3fb4e3141746a7f7b7b50bba2f8ee93b7da70f8be9f9f5b1a57b465",
+    "wedge 3pi/4": "d71fe5306094e8d1306c34bcb485fde200d9cf95c77b0dc6322ed927e45da1eb",
+    "wedge pi": "6ecf32342d928ce6267a9dc3352b9a9191cc6c138fc652599698a4498e8a8c63",
+    "grid 3x5": "8d987f14833dfb1e874e68234141f20bba9d6f1373e0a8567134e123a7b4c329",
+    "grid chi4": "e2229ff07dc4f605e2f18a20bd00442e76532de06ff079c073726920d1e96865",
+    "island sides 5": "36dbc4848a8154dabdc65b823bb14b14da0a7271c0a795a09ae840a547297e02",
+    "island polygon": "6787ef09b04bd333769c514e1dae582e415370f93c04a0ae780023a7147b3082",
+    "line_with_bump bump": "1663b64083a2e385890b5628918cf8a67b359bb62b4721b5de0918e7e5d2e311",
 }
 
 
@@ -237,7 +237,7 @@ def _partition_digest(p):
     named = [("vertices", p.vertices)]
     named += [(f"subdomain {s.id} loop {i}", np.array(loop, dtype=np.int64))
               for s in p.subdomains for i, loop in enumerate(s.loops)]
-    named += [(f"interface {t.id} {t.k} {t.l}", np.array(t.polyline, dtype=np.int64))
+    named += [(f"interface {t.id} {t.k} {t.l}", np.array(t.segments, dtype=np.int64))
               for t in p.interfaces]
     named += [("lengths", np.array([t.length for t in p.interfaces])),
               ("chi", np.int64(c.chi)),
