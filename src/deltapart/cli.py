@@ -219,7 +219,9 @@ def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
     df = _assemble(cfg, operator)
     s = cfg.solver
     r = eigen.lowest_form_eigenpairs(df, s.k, tol=s.tol, seed=s.seed)
-    below = r.count_below(cfg.threshold, 10.0 * s.tol)
+    below = {"count_below_threshold": r.count_below(cfg.threshold, 10.0 * s.tol)}
+    if below["count_below_threshold"] is None:
+        below["count_below_at_least"] = r.eigenvalues.size
     if fmt == "csv":
         print("index,value,residual")
         for j, (lam, res) in enumerate(zip(r.eigenvalues, r.residuals), start=1):
@@ -230,7 +232,7 @@ def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
             "eigenvalues": " ".join(_sig(v) for v in r.eigenvalues),
             "residuals": " ".join(format(float(v), ".3e") for v in r.residuals),
             "method": r.method, "converged": r.converged,
-            "dofs": df.A.shape[0], "count_below_threshold": below,
+            "dofs": df.A.shape[0], **below,
         })
     else:
         _emit_json({
@@ -240,7 +242,7 @@ def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
             "residuals": [float(v) for v in r.residuals],
             "method": r.method, "converged": bool(r.converged),
             "shift": None if r.shift is None else float(r.shift),
-            "threshold": cfg.threshold, "count_below_threshold": below,
+            "threshold": cfg.threshold, **below,
         })
     if not r.converged:
         print("eigensolver did not reach the requested tolerance",

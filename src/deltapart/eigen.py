@@ -40,8 +40,11 @@ class SpectrumResult:
     tol: float
     shift: float | None = None
 
-    def count_below(self, threshold: float, slack: float = 0.0) -> int:
-        return int(np.count_nonzero(self.eigenvalues < threshold - slack))
+    def count_below(self, threshold: float, slack: float = 0.0) -> int | None:
+        """Eigenvalues below threshold - slack, or None when every computed
+        one is: the spectrum may hold more than were computed."""
+        below = int(np.count_nonzero(self.eigenvalues < threshold - slack))
+        return None if below == self.eigenvalues.size else below
 
 
 def _m_orthonormalize(M, V):

@@ -198,6 +198,7 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
                     box_radii=(8.0, 12.0, 16.0), levels_list=(5, 5, 6),
                     tol: float = 1e-8, seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("star_bounds")
+    check(box_radii, array_of(POSITIVE), "box_radii")
     check(levels_list, (lambda v: len(v) == len(box_radii),
                         "an array with one entry per box radius "
                         f"({len(box_radii)})"),
@@ -316,6 +317,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
             final_tol = 0.05
         else:
             raise ValueError(f"unknown operator {operator!r}")
+        check(box_radii, array_of(POSITIVE), "box_radii")
         lams = []
         for R in box_radii:
             p, m = mesh.canonical_mesh("half_plane", None, float(R), levels)
@@ -331,7 +333,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
                          -threshold, 1e-9)
         rep.quantities.update({"threshold": threshold, "lambda1": lams})
         # delta is resolution-robust here; the jump coupling is more sensitive
-        # to the coarsening that a fixed level count implies on a larger box,
+        # to the coarser mesh that a fixed level count implies on a larger box,
         # so its monotonicity check gets a slice of the truncation tolerance
         step_tol = 1e-12 if operator == "delta" else 0.25 * final_tol
         for i in range(1, len(lams)):
@@ -345,6 +347,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         target = -4.0 / beta ** 2 + momentum ** 2
         R = wedge_box_radius
         check(n_list, array_of(whole(1)), "n_list")
+        check(wedge_phi, (lambda v: 0 < v <= np.pi, "in (0, pi]"), "wedge_phi")
         window = _wedge_window(wedge_phi, n_list)
         if window[1][1] > R:
             raise ValueError("box too small for the test-function support")

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from . import _kernels
 from .geometry import (FINITE, POSITIVE, InteractionData, PhaseAssignment,
                        _param)
-from .mesh import Mesh, _whole_box, coarsen
+from .mesh import Mesh, _whole_box, midpoint_parents, triangulate
 
 __all__ = [
     "DiscreteForm",
@@ -80,12 +80,6 @@ class DiscreteForm:
         per (subdomain, node) for broken) to the kept dofs."""
         keep = np.flatnonzero(self.full_to_red >= 0)
         return np.asarray(f_full)[keep]
-
-
-def _check_bc(bc: str) -> str:
-    if bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"boundary policy must be dirichlet or neumann, got {bc!r}")
-    return bc
 
 
 def _local_keys(dofs: np.ndarray, n: int) -> np.ndarray:
@@ -195,10 +189,13 @@ def _patch_bound(n, tri_dofs, stiff, mass, edge_dofs, edge_local) -> float:
     return min(0.0, float(lam.min()))
 
 
-def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node):
-    """P1 stiffness of the triangles tris (on dofs tri_dofs) plus the edge
-    coupling, P1 mass, the coupling bound, and the Dirichlet reduction of
-    the dofs on outer-boundary nodes."""
+def _assemble(m: Mesh, bc: str, space: str, interaction, tris, tri_dofs,
+              edge_dofs, edge_local, dof_node, dof_subdomain) -> DiscreteForm:
+    """The form of the P1 stiffness of the triangles tris (on dofs tri_dofs)
+    plus the edge coupling, the P1 mass and the coupling bound, without the
+    dofs on outer-boundary nodes under the Dirichlet condition."""
+    if bc not in ("dirichlet", "neumann"):
+        raise ValueError(f"boundary policy must be dirichlet or neumann, got {bc!r}")
     _whole_box(m, "assembling a form")
     n = dof_node.size
     stiff, mass, _ = _kernels.p1_elements(np.ascontiguousarray(m.nodes),
@@ -230,20 +227,17 @@ def _assemble(m: Mesh, bc: str, tris, tri_dofs, edge_dofs, edge_local, dof_node)
     A = _csr_from_runs(key, vals, nk)
     del vals
     M = _csr_from_runs(key[elem], mass, nk)
-    return A, M, full_to_red, keep, bound
+    return DiscreteForm(A, M, space, bc, m, interaction, dof_node[keep],
+                        dof_subdomain[keep], full_to_red, bound)
 
 
 def assemble_delta(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> DiscreteForm:
     """Continuous P1 form: stiffness minus alpha-weighted edge mass on the
     interfaces, with the exact P1 edge and element mass matrices."""
-    _check_bc(bc)
     jd, jl = _edge_coupling(m.iface_edge_nodes, _edge_weights(m, d.alpha),
                             m.iface_edge_length, _EDGE_MASS)
-    A, M, full_to_red, keep, bound = _assemble(
-        m, bc, m.triangles, m.triangles, jd, jl, np.arange(m.n_nodes))
-    return DiscreteForm(A, M, "continuous", bc, m, d,
-                        dof_node=keep, dof_subdomain=np.zeros(keep.size, dtype=np.int64),
-                        full_to_red=full_to_red, coercivity_bound=bound)
+    return _assemble(m, bc, "continuous", d, m.triangles, m.triangles, jd, jl,
+                     np.arange(m.n_nodes), np.zeros(m.n_nodes, dtype=np.int64))
 
 
 def broken_dof_layout(m: Mesh):
@@ -265,14 +259,11 @@ def broken_dof_layout(m: Mesh):
 def assemble_delta_prime(m: Mesh, d: InteractionData, bc: str = "dirichlet") -> DiscreteForm:
     """Broken P1 form: per-subdomain stiffness blocks minus the
     beta-inverse-weighted edge mass of the trace jump across interfaces."""
-    _check_bc(bc)
     dof_node, dof_sub, table = broken_dof_layout(m)
     jd, jl = jump_coupling(m, d.beta, table)
     tri_dofs = table[m.tri_subdomain[:, None], m.triangles]
-    A, M, full_to_red, keep, bound = _assemble(m, bc, m.triangles, tri_dofs, jd, jl, dof_node)
-    return DiscreteForm(A, M, "broken", bc, m, d,
-                        dof_node=dof_node[keep], dof_subdomain=dof_sub[keep],
-                        full_to_red=full_to_red, coercivity_bound=bound)
+    return _assemble(m, bc, "broken", d, m.triangles, tri_dofs, jd, jl,
+                     dof_node, dof_sub)
 
 
 def assemble_subdomain_robin(m: Mesh, k: int, gamma: float,
@@ -280,7 +271,6 @@ def assemble_subdomain_robin(m: Mesh, k: int, gamma: float,
     """Single-subdomain form: stiffness on subdomain k minus gamma times the
     edge mass of its interface edges (the attractive boundary term of the
     wedge trace estimates)."""
-    _check_bc(bc)
     mask = m.tri_subdomain == k
     if not np.any(mask):
         raise ValueError(f"no triangles in subdomain {k}")
@@ -294,28 +284,28 @@ def assemble_subdomain_robin(m: Mesh, k: int, gamma: float,
     jd, jl = _edge_coupling(lut[m.iface_edge_nodes[on_k]],
                             np.full(int(on_k.sum()), float(gamma)),
                             m.iface_edge_length[on_k], _EDGE_MASS)
-    A, M, full_to_red, keep, bound = _assemble(m, bc, tris, lut[tris], jd, jl, nodes)
-    return DiscreteForm(A, M, "continuous", bc, m, None,
-                        dof_node=nodes[keep],
-                        dof_subdomain=np.full(keep.size, k, dtype=np.int64),
-                        full_to_red=full_to_red, coercivity_bound=bound)
+    return _assemble(m, bc, "continuous", None, tris, lut[tris], jd, jl,
+                     nodes, np.full(nodes.size, k, dtype=np.int64))
 
 
 def coarse_form(df: DiscreteForm):
-    """The form assembled on the mesh two refinements coarser, with the
-    same assembler, interaction and boundary policy, and the prolongation P
-    (sparse, df.n_dofs x coarse n_dofs) of its reduced dofs onto df's.
+    """The form assembled on the partition of df's mesh triangulated two
+    levels coarser, with the same assembler, interaction and boundary
+    policy, and the prolongation P (sparse, df.n_dofs x coarse n_dofs) of
+    its reduced dofs onto df's.
 
-    P interpolates the coarse P1 function at the fine nodes (the midpoint
-    rule of `mesh.coarsen`, applied per subdomain on broken dofs); coarse
-    dofs removed by the Dirichlet condition contribute 0.  By Galerkin
-    nesting the coarse eigenvalues bound the fine ones from above.  Two
-    levels, not one or three, gave the fastest warm-started solves."""
-    if df.interaction is None:
-        raise ValueError("coarse forms need an assembled delta or delta' form")
-    m, P = df.mesh, None
-    for _ in range(2):
-        m, parents = coarsen(m)
+    P interpolates the coarse P1 function at the fine nodes (a midpoint
+    takes the mean of its `mesh.midpoint_parents`, per subdomain on broken
+    dofs); coarse dofs removed by the Dirichlet condition contribute 0.  By
+    Galerkin nesting the coarse eigenvalues bound the fine ones from above.
+    Two levels, not one or three, gave the fastest warm-started solves."""
+    if df.interaction is None or df.mesh.partition is None:
+        raise ValueError("coarse forms need an assembled delta or delta' form "
+                         "on a triangulated mesh")
+    P = None
+    for coarser in (1, 2):
+        m = triangulate(df.mesh.partition, df.mesh.refinement_level - coarser)
+        parents = midpoint_parents(m)
         n = m.n_nodes
         mids = np.arange(n, n + parents.shape[0])
         step = sp.csr_matrix(

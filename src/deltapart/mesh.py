@@ -12,8 +12,8 @@ import numpy as np
 from . import geometry
 from .geometry import Partition, _VertexPool, _cross2, _loop_area
 
-__all__ = ["Mesh", "triangulate", "coarsen", "canonical_mesh", "reflect_split",
-           "export_mesh"]
+__all__ = ["Mesh", "triangulate", "midpoint_parents", "canonical_mesh",
+           "reflect_split", "export_mesh"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class Mesh:
     # (angle, (x0, x1, y0, y1)) of `triangulate`'s window, or None for a
     # mesh of the whole box
     window: tuple | None = None
+    partition: Partition | None = None   # what `triangulate` meshed
 
     @property
     def n_nodes(self) -> int:
@@ -186,16 +187,22 @@ def _derive_interface_edges(p: Partition, nodes, triangles, tri_subdomain):
 # uniform refinement
 # ---------------------------------------------------------------------------
 
-def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
-    """One uniform 4-way refinement, in the numbering `coarsen` inverts:
-    midpoints follow the nodes in sorted edge-code order, the children of
-    triangle t are rows 4t..4t+3 and interface edge q splits into rows 2q
-    and 2q+1."""
-    n, m = nodes.shape[0], triangles.shape[0]
+def _side_codes(n: int, triangles):
+    """Codes min(u, v) n + max(u, v) of the triangles' ab, then bc, then ca
+    sides (u, v); a refinement numbers its midpoints in sorted code order."""
     a, b, c = triangles.T
     u, v = np.concatenate([a, b, c]), np.concatenate([b, c, a])
-    codes = np.minimum(u, v) * n + np.maximum(u, v)
-    uniq, inv = np.unique(codes, return_inverse=True)
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
+    """One uniform 4-way refinement: midpoints follow the nodes in sorted
+    side-code order, the children of triangle t are rows 4t..4t+3,
+    (a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca), and
+    interface edge q splits into rows 2q (a, mid) and 2q+1 (mid, b)."""
+    n, m = nodes.shape[0], triangles.shape[0]
+    a, b, c = triangles.T
+    uniq, inv = np.unique(_side_codes(n, triangles), return_inverse=True)
     new_nodes = np.vstack([nodes, 0.5 * (nodes[uniq // n] + nodes[uniq % n])])
     mab, mbc, mca = (n + inv).reshape(3, m)
     children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
@@ -204,6 +211,15 @@ def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
     imid = n + np.searchsorted(uniq, np.minimum(ia, ib) * n + np.maximum(ia, ib))
     new_iface = np.stack([ia, imid, imid, ib], axis=1).reshape(-1, 2)
     return new_nodes, children, np.repeat(tri_subdomain, 4), new_iface
+
+
+def midpoint_parents(m: Mesh) -> np.ndarray:
+    """Sorted node pairs of m's triangle sides, in the order in which the
+    mesh one level finer numbers their midpoints after m's nodes."""
+    # sort, then drop repeats: np.unique of the codes alone was 8x slower
+    codes = np.sort(_side_codes(m.n_nodes, m.triangles))
+    uniq = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
+    return np.stack(np.divmod(uniq, m.n_nodes), axis=1)
 
 
 def _meets_window(nodes, cells, window, slack):
@@ -249,36 +265,6 @@ def _whole_box(m: Mesh, what: str) -> None:
                          f"windowed mesh")
 
 
-def coarsen(m: Mesh) -> Tuple[Mesh, np.ndarray]:
-    """Invert the last `_refine_once`: the level L-1 mesh (bitwise equal to
-    `triangulate(p, L-1)`) and the (n_fine - n_coarse, 2) parent nodes of
-    each midpoint node, which the fine mesh numbers after the coarse ones.
-
-    Children of triangle t are rows 4t..4t+3, (a, mab, mca), (mab, b, mbc),
-    (mca, mbc, c), (mab, mbc, mca); interface edge q splits into rows 2q
-    (a, mid) and 2q+1 (mid, b)."""
-    _whole_box(m, "coarsen")
-    if m.refinement_level < 1:
-        raise ValueError("a level-0 mesh has no coarser level")
-    t0, t1, t2, t3 = (m.triangles[j::4] for j in range(4))
-    triangles = np.stack([t0[:, 0], t1[:, 1], t2[:, 2]], axis=1)
-    n = int(t3.min())
-    parents = np.empty((m.n_nodes - n, 2), dtype=np.int64)
-    for mid, u, v in ((t3[:, 0], t0[:, 0], t1[:, 1]),
-                      (t3[:, 1], t1[:, 1], t2[:, 2]),
-                      (t3[:, 2], t2[:, 2], t0[:, 0])):
-        parents[mid - n] = np.sort(np.stack([u, v], axis=1), axis=1)
-    ie = m.iface_edge_nodes
-    outer = m.outer_boundary_nodes
-    coarse = Mesh(m.nodes[:n], triangles, m.tri_subdomain[::4],
-                  np.stack([ie[0::2, 0], ie[1::2, 1]], axis=1),
-                  m.iface_edge_id[::2], m.iface_edge_kl[::2],
-                  2.0 * m.iface_edge_length[::2],
-                  outer[outer < n], m.refinement_level - 1, m.box_radius,
-                  m.symmetry_axis)
-    return coarse, parents
-
-
 def triangulate(p: Partition, levels: int, window=None) -> Mesh:
     """The coarse mesh of p refined levels times.  With a window
     (angle, (x0, x1, y0, y1)), every level from the coarse mesh on keeps
@@ -317,7 +303,7 @@ def triangulate(p: Partition, levels: int, window=None) -> Mesh:
     on_box = (np.abs(np.abs(nodes[:, 0]) - R) < tol) | (np.abs(np.abs(nodes[:, 1]) - R) < tol)
     outer = np.flatnonzero(on_box).astype(np.int64)
     m = Mesh(nodes, triangles, tri_subdomain, *iface, outer, levels, R,
-             p.symmetry_axis, window)
+             p.symmetry_axis, window, p)
     _check_mesh(p, m)
     return m
 

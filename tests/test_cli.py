@@ -203,11 +203,18 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, command, field,
     ("deformation", "bump", {"experiment": {"bump": [[-1, 1], [1, 1], [1]]}}),
     ("star-bounds", "levels_list", {"experiment": {"box_radii": [4, 5, 6, 7],
                                                    "levels_list": [2, 2]}}),
+    ("star-bounds", "box_radii", {"experiment": {"box_radii": [4, 0],
+                                                 "levels_list": [2, 2]}}),
+    ("threshold", "box_radii", {"experiment": {"box_radii": [-4, 4]}}),
+    ("threshold", "wedge_phi", {"geometry": {"name": "wedge"},
+                                "experiment": {"operator": "delta-prime",
+                                               "wedge_phi": 7, "wedge_levels": 2}}),
     ("unitary", "trials", {"experiment": {"trials": 0}}),
 ], ids=["threshold-delta-prime", "threshold-delta", "threshold-wedge",
         "threshold-wedge-n-0", "deformation-alpha-0",
         "deformation-alpha-negative", "deformation-n-0", "deformation-bump-3d",
-        "deformation-bump-ragged", "star-bounds-lengths", "unitary-no-trials"])
+        "deformation-bump-ragged", "star-bounds-lengths", "star-bounds-radius-0",
+        "threshold-radius-negative", "threshold-wedge-phi-7", "unitary-no-trials"])
 def test_experiment_arguments_out_of_domain(tmp_path, capsys, experiment, name,
                                             config):
     """An argument outside its experiment's domain ends in exit 1 naming it,
@@ -267,6 +274,27 @@ def test_spectrum_csv(cfg_file, capsys):
     assert len(lines) == 5
     idx, val, res = lines[1].split(",")
     assert idx == "1" and float(val) < 0.0 and float(res) >= 0.0
+
+
+@pytest.mark.parametrize("k,count,at_least", [(1, None, 1), (8, 3, None)])
+def test_count_below_threshold_is_exact_or_null(tmp_path, capsys, k, count,
+                                                at_least):
+    """The lowest delta eigenvalues of this half-plane are -0.2386, -0.2081,
+    -0.1569, -0.0847, then positive: k = 8 reaches above the threshold
+    -0.1 and counts 3; at k = 1 the count is unknown, at least 1."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"geometry": {"name": "half_plane"},
+                             "box_radius": 16, "levels": 5, "alpha": 1,
+                             "threshold": -0.1, "solver": {"k": k}}))
+    assert cli.main(["spectrum", "--operator", "delta", "--config", str(f)]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["count_below_threshold"] == count
+    assert d.get("count_below_at_least") == at_least
+    assert cli.main(["--format", "text", "spectrum", "--operator", "delta",
+                     "--config", str(f)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"count_below_threshold = {count!r}" in lines
+    assert (f"count_below_at_least = {at_least!r}" in lines) == (count is None)
 
 
 def test_spectrum_deterministic_byte_identical(cfg_file, capsys):

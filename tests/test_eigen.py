@@ -78,6 +78,9 @@ def test_count_below():
     assert r.count_below(0.0) == 3
     assert r.count_below(-0.5) == 2
     assert r.count_below(-0.5, slack=0.6) == 1
+    # every computed eigenvalue below: more may lie below, uncomputed
+    assert r.count_below(1.0) is None
+    assert r.count_below(1.0, slack=0.6) == 3
 
 
 def test_argument_validation():

@@ -473,14 +473,20 @@ def test_assembly_against_dict_reference(bc, n):
     jd, jl = forms._edge_coupling(node_dof[m.iface_edge_nodes], weight,
                                   m.iface_edge_length, forms._EDGE_MASS)
     tri_dofs = node_dof[m.triangles]
-    A, M, full_to_red, keep, _ = forms._assemble(m, bc, m.triangles, tri_dofs,
-                                                 jd, jl, dof_node)
+    dof_sub = np.arange(n) % 3
+    df = forms._assemble(m, bc, "continuous", None, m.triangles, tri_dofs,
+                         jd, jl, dof_node, dof_sub)
     (want_a, want_m), nk = _reference_forms(m, tri_dofs, jd, jl, dof_node, bc)
-    assert keep.size == nk and np.array_equal(full_to_red[keep], np.arange(nk))
-    rows = np.repeat(np.arange(nk, dtype=np.int64), np.diff(A.indptr))
-    assert (rows * (nk + 1) + A.indices).max() > 2 ** 31 or n == n_nodes
-    _check_against_reference(A, want_a, nk)
-    _check_against_reference(M, want_m, nk)
+    keep = np.flatnonzero(df.full_to_red >= 0)
+    assert keep.size == nk and np.array_equal(df.full_to_red[keep], np.arange(nk))
+    assert np.array_equal(df.dof_node, dof_node[keep])
+    assert np.array_equal(df.dof_subdomain, dof_sub[keep])
+    assert (df.space, df.bc, df.interaction) == ("continuous", bc, None)
+    assert df.mesh is m
+    rows = np.repeat(np.arange(nk, dtype=np.int64), np.diff(df.A.indptr))
+    assert (rows * (nk + 1) + df.A.indices).max() > 2 ** 31 or n == n_nodes
+    _check_against_reference(df.A, want_a, nk)
+    _check_against_reference(df.M, want_m, nk)
 
 
 @pytest.mark.parametrize("assembler", [forms.assemble_delta, forms.assemble_delta_prime])
@@ -790,11 +796,35 @@ def test_coarse_form_is_the_galerkin_restriction(operator, bc):
         assert np.max(np.abs(G - C.toarray())) <= 1e-12 * np.max(np.abs(C.toarray()))
 
 
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_coarse_form_is_the_form_two_levels_coarser(operator, bc):
+    """The coarse form is exactly the same assembler's form on the
+    partition triangulated two levels coarser."""
+    fine, (coarse, _) = _coarse_pair("star3", {}, operator, bc)
+    m = fine.mesh
+    maker = forms.assemble_delta if operator == "delta" else forms.assemble_delta_prime
+    want = maker(mesh.triangulate(m.partition, m.refinement_level - 2),
+                 fine.interaction, bc)
+    for X, Y in ((coarse.A, want.A), (coarse.M, want.M)):
+        for a, b in ((X.data, Y.data), (X.indices, Y.indices), (X.indptr, Y.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert coarse.coercivity_bound == want.coercivity_bound
+    for field in ("dof_node", "dof_subdomain", "full_to_red"):
+        assert np.array_equal(getattr(coarse, field), getattr(want, field))
+    assert coarse.mesh.refinement_level == m.refinement_level - 2
+
+
 def test_coarse_form_needs_an_interaction():
     _, m, _ = _setup("star3", 2)
     rf = forms.assemble_subdomain_robin(m, int(m.subdomain_ids()[0]), 1.0)
     with pytest.raises(ValueError, match="delta"):
         forms.coarse_form(rf)
+    # a hand-built mesh has no partition to triangulate coarser
+    square = _square_mesh([1, 2])
+    df = forms.assemble_delta(square, geometry.InteractionData({1: 1.0}, {1: 1.0}))
+    with pytest.raises(ValueError, match="triangulated mesh"):
+        forms.coarse_form(df)
 
 
 @st.composite
@@ -816,6 +846,7 @@ def test_galerkin_nesting(problem):
     m, d, maker, bc = problem
     lam = [sla.eigh(f.A.toarray(), f.M.toarray(), eigvals_only=True,
                     subset_by_index=[0, min(4, f.n_dofs - 1)])
-           for f in (maker(m, d, bc), maker(mesh.coarsen(m)[0], d, bc))]
+           for f in (maker(m, d, bc),
+                     maker(mesh.triangulate(m.partition, m.refinement_level - 1), d, bc))]
     for lf, lc in zip(*lam):
         assert lf <= lc + 1e-10 * max(1.0, abs(lc))

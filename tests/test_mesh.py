@@ -253,28 +253,21 @@ def test_export_mesh_format():
 @pytest.mark.parametrize("name,params",
                          [(n, {}) for n in geometry.CANONICAL_NAMES]
                          + [("grid", {"variant": "chi4"})])
-def test_coarsen_inverts_refinement(name, params):
+def test_midpoint_parents_number_the_finer_nodes(name, params):
+    """The midpoints of midpoint_parents(level L-1) are, in order and bit
+    for bit, the nodes that triangulate(p, L) numbers after L-1's."""
     p = geometry.build_canonical_partition(name, dict(params, box_radius=4.0))
     for levels in (1, 2, 3):
+        coarse = mesh.triangulate(p, levels - 1)
         fine = mesh.triangulate(p, levels)
-        coarse, parents = mesh.coarsen(fine)
-        ref = mesh.triangulate(p, levels - 1)
-        for field in dataclasses.fields(mesh.Mesh):
-            got, want = getattr(coarse, field.name), getattr(ref, field.name)
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got, want), field.name
-            else:
-                assert got == want, field.name
+        parents = mesh.midpoint_parents(coarse)
+        assert parents.dtype == np.int64
         assert parents.shape == (fine.n_nodes - coarse.n_nodes, 2)
+        assert np.all(parents[:, 0] < parents[:, 1])
+        assert np.array_equal(fine.nodes[:coarse.n_nodes], coarse.nodes)
         mids = 0.5 * (coarse.nodes[parents[:, 0]] + coarse.nodes[parents[:, 1]])
         assert np.array_equal(mids, fine.nodes[coarse.n_nodes:])
-
-
-def test_coarsen_level_zero():
-    _, m = _mesh("star3", 0)
-    with pytest.raises(ValueError, match="level-0"):
-        mesh.coarsen(m)
+        assert fine.partition is p
 
 
 def test_export_mesh_matches_per_entry_format():
@@ -295,7 +288,7 @@ def test_export_mesh_matches_per_entry_format():
 def _refine_reference(nodes, triangles, tri_subdomain, iface_nodes):
     """Per-triangle uniform refinement: midpoints numbered after the nodes
     by sorted edge (a < b, i.e. by code a * n + b), children of triangle t
-    in rows 4t..4t+3 as the `coarsen` docstring gives them, interface edge
+    in rows 4t..4t+3 as the `_refine_once` docstring gives them, interface edge
     q split into rows 2q (a, mid) and 2q+1 (mid, b)."""
     n = nodes.shape[0]
     edges = sorted({(min(u, v), max(u, v)) for a, b, c in triangles.tolist()
@@ -392,14 +385,13 @@ def _windowed_wedge():
     lambda p, m: forms.assemble_delta_prime(
         m, geometry.InteractionData.uniform(p, 1.0, 2.0), "neumann"),
     lambda p, m: forms.assemble_subdomain_robin(m, 1, 1.0),
-    lambda p, m: mesh.coarsen(m),
     lambda p, m: mesh.export_mesh(m),
     lambda p, m: mesh.mirror_permutation(m, 0.0),
 ], ids=["assemble_delta", "assemble_delta_prime", "assemble_subdomain_robin",
-        "coarsen", "export_mesh", "mirror_permutation"])
+        "export_mesh", "mirror_permutation"])
 def test_windowed_mesh_is_refused(call):
-    """A windowed mesh does not tile the box: forms, coarsening, export and
-    reflection refuse it by name."""
+    """A windowed mesh does not tile the box: forms, export and reflection
+    refuse it by name."""
     p, m = _windowed_wedge()
     assert m.window is not None
     assert m.n_triangles < mesh.triangulate(p, 2).n_triangles
