@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Union
 
 from . import closedform, eigen, experiments, forms, geometry, mesh
-from .geometry import BOOL, FINITE, POSITIVE, _param, array_of, whole
+from .geometry import BOOL, FINITE, OPENING, POSITIVE, _param, array_of, whole
 
 __all__ = ["Config", "SolverConfig", "ConfigError", "parse_config",
            "main", "entry"]
@@ -274,7 +274,7 @@ def _closed_form_payload(name: str, params) -> Dict:
         da, db = closedform.halfplane_bottoms(a, b)
         return {"values": [da, db], "delta": da, "delta_prime": db}
     if name == "wedge-trace":
-        gamma, phi, *flag = need(1, gamma=POSITIVE, phi=POSITIVE,
+        gamma, phi, *flag = need(1, gamma=POSITIVE, phi=OPENING,
                                  bisector=(lambda v: v in (0, 1), "0 or 1"))
         bound = closedform.wedge_trace_bound(
             float(gamma), float(phi), vanishing_on_bisector=flag == [1])

@@ -13,6 +13,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .geometry import OPENING, POSITIVE, check, number, whole
+
 __all__ = [
     "halfplane_bottoms",
     "wedge_trace_bound",
@@ -32,17 +34,13 @@ __all__ = [
 SQ3 = math.sqrt(3.0)
 PRINTED_MINIMAX_VALUE = ((12.0 * SQ3 - 2.0) / 9.0) ** 2
 PRINTED_C_STAR = 4.0 - 2.0 * SQ3 / 9.0
-
-
-def _positive(*xs) -> bool:
-    """Whether each x is finite and strictly positive (NaN is not)."""
-    return all(0.0 < x < math.inf for x in xs)
+_UNIT = number(lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def halfplane_bottoms(alpha: float, beta: float) -> tuple[float, float]:
     """Spectral bottoms for a straight-line interface: (-alpha^2/4, -4/beta^2)."""
-    if not _positive(alpha, beta):
-        raise ValueError("strengths must be positive")
+    check(alpha, POSITIVE, "alpha")
+    check(beta, POSITIVE, "beta")
     return -alpha * alpha / 4.0, -4.0 / (beta * beta)
 
 
@@ -52,10 +50,8 @@ def wedge_trace_bound(gamma: float, phi: float,
     opening phi (both rays carry the boundary term): -gamma^2/sin^2(phi/2),
     or -gamma^2 when f vanishes on the bisector (the bound then loses its
     angle dependence)."""
-    if not _positive(gamma):
-        raise ValueError("gamma must be positive")
-    if not 0.0 < phi <= math.pi:
-        raise ValueError("opening angle must lie in (0, pi]")
+    check(gamma, POSITIVE, "gamma")
+    check(phi, OPENING, "phi")
     if vanishing_on_bisector:
         return -gamma * gamma
     s = math.sin(phi / 2.0)
@@ -63,17 +59,14 @@ def wedge_trace_bound(gamma: float, phi: float,
 
 
 def star_delta_bottom(alpha: float) -> float:
-    if not _positive(alpha):
-        raise ValueError("alpha must be positive")
+    check(alpha, POSITIVE, "alpha")
     return -alpha * alpha / 3.0
 
 
 def m_functions(omega: float, t: float) -> tuple[float, float]:
     """The two competing quadratic bounds of the star estimate."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    if not _positive(t):
-        raise ValueError("t must be positive")
+    check(omega, _UNIT, "omega")
+    check(t, POSITIVE, "t")
     return _m12(omega, t)
 
 
@@ -84,8 +77,7 @@ def _m12(omega, t):
 
 def omega_star(t: float) -> float:
     """Crossing point M1 = M2 on t in (0, 1)."""
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
+    check(t, number(lambda v: 0 < v < 1, "in (0, 1)"), "t")
     return (8.0 - 4.0 * SQ3) * t / (3.0 * SQ3 + 2.0 * (1.0 - t) * t)
 
 
@@ -181,8 +173,8 @@ def interval_delta_prime(beta: float, l: float) -> IntervalResult:
     of rounding at 2h.  An epsilon = -k^2 that overflows, or underflows past
     the normal doubles, is a ValueError, not -inf or a lossy -0.0.
     """
-    if not _positive(beta, l):
-        raise ValueError("beta and l must be positive")
+    check(beta, POSITIVE, "beta")
+    check(l, POSITIVE, "l")
     import scipy.optimize as opt   # only here, off the package's import path
 
     def root_fn(x):
@@ -248,10 +240,9 @@ def interval_fem_oracle(beta: float, l: float, n_elems: int = 10000) -> float:
     """Independent check of interval_delta_prime: smallest eigenvalue of the
     broken 1D P1 discretization.  Deterministic: the Lanczos start vector
     comes from a fixed seed."""
-    if not _positive(beta, l):
-        raise ValueError("beta and l must be positive")
-    if n_elems < 4:
-        raise ValueError("need at least 4 elements")
+    check(beta, POSITIVE, "beta")
+    check(l, POSITIVE, "l")
+    check(n_elems, whole(4), "n_elems")
     A, M = _interval_matrices(beta, l, n_elems)
     Ac, Mc = _interval_matrices(beta, l, 200)
     coarse = sla.eigh(Ac.toarray(), Mc.toarray(), eigvals_only=True)[0]
@@ -264,10 +255,8 @@ def interval_fem_oracle(beta: float, l: float, n_elems: int = 10000) -> float:
 def abc_inequality_check(theta, eta, omega: float, t: float):
     """Cyclic sum of squared norms of theta_i - theta_j + eta_i + eta_j
     against (4 - omega(1-t)) sum||theta||^2 + (4 + 3 omega/t) sum||eta||^2."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    if not _positive(t):
-        raise ValueError("t must be positive")
+    check(omega, _UNIT, "omega")
+    check(t, POSITIVE, "t")
     th = [np.asarray(v, dtype=float) for v in theta]
     et = [np.asarray(v, dtype=float) for v in eta]
     if len(th) != 3 or len(et) != 3:

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import _kernels, closedform, eigen, forms, geometry, mesh
-from .geometry import POINTS, POSITIVE, array_of, check, whole
+from .geometry import OPENING, POINTS, POSITIVE, array_of, check, whole
 
 __all__ = [
     "Assertion",
@@ -290,10 +290,9 @@ def _wedge_quotients(p, m: mesh.Mesh, beta: float, momentum: float, n_list,
     jump = forms.jump_coupling(m, d.beta, layout[2])
     quotients = []
     for n in n_list:
-        psi = forms.sample_test_function(m, "wedge_psi_np", {
-            "layout": (layout[0], layout[1]), "n": n, "p": momentum,
-            "beta": beta, "center": 2.0 * n + 4.0, "angle": angle,
-        })
+        psi = forms.sample_test_function(
+            m, layout[0], layout[1], n=n, p=momentum, beta=beta,
+            center=2.0 * n + 4.0, angle=angle)
         quotients.append(_broken_rayleigh_local(m, layout[2], jump, psi))
     return quotients
 
@@ -347,7 +346,7 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         target = -4.0 / beta ** 2 + momentum ** 2
         R = wedge_box_radius
         check(n_list, array_of(whole(1)), "n_list")
-        check(wedge_phi, (lambda v: 0 < v <= np.pi, "in (0, pi]"), "wedge_phi")
+        check(wedge_phi, OPENING, "wedge_phi")
         window = _wedge_window(wedge_phi, n_list)
         if window[1][1] > R:
             raise ValueError("box too small for the test-function support")
@@ -441,17 +440,17 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
                                {"bump": [list(v) for v in bump]}, box_radius,
                                levels)
     d = geometry.InteractionData.uniform(p, alpha, 4.0 / alpha)
-    # discrete form on sampled family for the n that fit in the box (dual route)
+    # the discrete Neumann form on the nodal profile bump(x/n) exp(-alpha|y|/2)
+    # for the n that fit in the box (dual route); every node is a dof
     dfn = forms.assemble_delta(m, d, "neumann")
+    x, y = m.nodes[:, 0], m.nodes[:, 1]
     dual = {}
     for n in n_list:
         if 2.0 * float(n) > box_radius:
             continue
-        fno = forms.sample_test_function(m, "deformation_fn",
-                                         {"n": float(n), "alpha": alpha})
-        fr = dfn.restrict(fno)
-        i_disc = forms.form_value(dfn, fr) \
-            + alpha ** 2 / 4.0 * float(fr @ (dfn.M @ fr))
+        f = forms.bump(x / float(n)) * np.exp(-0.5 * float(alpha) * np.abs(y))
+        i_disc = forms.form_value(dfn, f) \
+            + alpha ** 2 / 4.0 * float(f @ (dfn.M @ f))
         dual[n] = i_disc
         if float(n) >= 2.0:  # n=1 varies on the mesh scale; informational only
             rep.check_abs(f"discrete vs quadrature I_n, n={n}", i_disc,
@@ -482,6 +481,9 @@ def run_indicator_bound_state(beta: float = 1.0, box_radii=(6.0, 9.0),
                               radius: float = 3.0, tol: float = 1e-8,
                               seed: int = 0) -> ExperimentReport:
     rep = ExperimentReport("indicator_bound_state")
+    check(box_radii, array_of(POSITIVE), "box_radii")
+    check(sides, whole(3), "sides")
+    check(radius, POSITIVE, "radius")
     perimeters, lams = [], []
     for R in box_radii:
         p, m = mesh.canonical_mesh("island", {"sides": sides, "radius": radius},

@@ -1,7 +1,7 @@
 """Discrete quadratic forms: the continuous-space form with attractive
 boundary terms on interfaces, the broken-space form with trace-jump
-coupling, the phase unitary, Rayleigh quotients, and the analytic test
-function families."""
+coupling, the phase unitary, Rayleigh quotients, and the wedge test
+function."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .geometry import (FINITE, POSITIVE, InteractionData, PhaseAssignment,
-                       _param)
+from .geometry import FINITE, POSITIVE, InteractionData, PhaseAssignment, check
 from .mesh import Mesh, _whole_box, midpoint_parents, triangulate
 
 __all__ = [
@@ -74,12 +73,6 @@ class DiscreteForm:
     @property
     def n_dofs(self) -> int:
         return self.A.shape[0]
-
-    def restrict(self, f_full: np.ndarray) -> np.ndarray:
-        """Restrict a full-space vector (one entry per node for continuous,
-        per (subdomain, node) for broken) to the kept dofs."""
-        keep = np.flatnonzero(self.full_to_red >= 0)
-        return np.asarray(f_full)[keep]
 
 
 def _local_keys(dofs: np.ndarray, n: int) -> np.ndarray:
@@ -366,59 +359,25 @@ def rayleigh(df: DiscreteForm, f: np.ndarray) -> float:
     return float(np.real(np.vdot(f, df.A @ f))) / denom
 
 
-# the params keys each family needs, then the keys it reads if given
-_FAMILY_KEYS = {
-    "deformation_fn": ({"n", "alpha"}, set()),
-    "wedge_psi_np": ({"layout", "n", "beta", "center"},
-                     {"p", "angle"}),
-}
-FAMILIES = tuple(_FAMILY_KEYS)
-
-
-def sample_test_function(m: Mesh, family: str, params: dict) -> np.ndarray:
-    """Nodal interpolation of an analytic family. deformation_fn returns one
-    value per node, bump(x / n) exp(-alpha |y| / 2); wedge_psi_np returns a
-    full broken complex vector for the broken dof layout params["layout"] =
-    (dof_node, dof_subdomain).  The product is evaluated only on its
-    support: in coordinates (xr, yr) turned by params["angle"], the dofs
-    with sx = |xr - center| / n < 2 and sy = |yr| / n < 2, the same test as
+def sample_test_function(m: Mesh, dof_node: np.ndarray,
+                         dof_subdomain: np.ndarray, *, n, beta, center,
+                         p=0.0, angle=0.0) -> np.ndarray:
+    """The wedge test function psi_n as a full broken complex vector on the
+    broken dof layout (dof_node, dof_subdomain).  It is evaluated only on
+    its support: in coordinates (xr, yr) turned by angle, the dofs with
+    sx = |xr - center| / n < 2 and sy = |yr| / n < 2, the same test as
     `bump`'s s >= 2 cut.  Every other entry is +0.  The sign is +1 where
     yr > 0 and on the ray's subdomain-1 dofs, -1 elsewhere; the support
     must lie on the ray from 0 to the box radius.
 
-    A missing needed key, a key the family does not read, n <= 0, beta <= 0
-    or a number that is not finite raises ValueError naming the key."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    needed, optional = _FAMILY_KEYS[family]
-    unknown = set(params) - needed - optional
-    if unknown:
-        raise ValueError(f"unknown parameters {sorted(map(str, unknown))} "
-                         f"for family {family!r}")
-    missing = needed - set(params)
-    if missing:
-        raise ValueError(f"missing parameters {sorted(missing)} "
-                         f"for family {family!r}")
-    x = m.nodes[:, 0]
-    y = m.nodes[:, 1]
+    n <= 0, beta <= 0 or a number that is not finite raises ValueError
+    naming the argument."""
     R = m.box_radius
-    params = dict(params)
-
-    def number(key, kind=FINITE, default=None):
-        return float(_param(params, key, default, kind, f"parameter {key!r}"))
-
-    n = number("n", POSITIVE)
-    if family == "deformation_fn":
-        alpha = number("alpha")
-        if 2.0 * n > R:
-            raise ValueError("cutoff support exceeds the box")
-        return bump(x / n) * np.exp(-0.5 * alpha * np.abs(y))
-    # wedge_psi_np: broken, complex, sign flip across the interface ray
-    dof_node, dof_subdomain = params["layout"]
-    p = number("p", default=0.0)
-    beta = number("beta", POSITIVE)
-    center = number("center")
-    angle = number("angle", default=0.0)
+    n = float(check(n, POSITIVE, "n"))
+    p = float(check(p, FINITE, "p"))
+    beta = float(check(beta, POSITIVE, "beta"))
+    center = float(check(center, FINITE, "center"))
+    angle = float(check(angle, FINITE, "angle"))
     if center - 2.0 * n < 0.0 or center + 2.0 * n > R:
         raise ValueError("cutoff support exceeds the interface ray")
     ct, st = np.cos(angle), np.sin(angle)

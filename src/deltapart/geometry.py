@@ -423,8 +423,14 @@ def _finite(v) -> bool:
             and math.isfinite(v))
 
 
+def number(ok, what: str):
+    """The kind of a finite number v for which ok(v) holds."""
+    return (lambda v: _finite(v) and ok(v), what)
+
+
 FINITE = (_finite, "a finite number")
-POSITIVE = (lambda v: _finite(v) and v > 0, "strictly positive")
+POSITIVE = number(lambda v: v > 0, "strictly positive")
+OPENING = number(lambda v: 0 < v <= math.pi, "in (0, pi]")   # a wedge angle
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 
 

@@ -316,6 +316,7 @@ def canonical_mesh(name: str, params: dict | None, box_radius: float,
     if "box_radius" in (params or {}):
         raise ValueError("geometry parameter 'box_radius': set the box radius "
                          "at the top level, not in the geometry parameters")
+    geometry.check(box_radius, geometry.POSITIVE, "box_radius")
     p = geometry.build_canonical_partition(name, dict(params or {},
                                                       box_radius=box_radius))
     return p, triangulate(p, levels)

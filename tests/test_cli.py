@@ -90,6 +90,7 @@ def test_closed_form_minimax_json(capsys):
     (["edge-constant", "2.5"], "chi"),      # not truncated to chi = 2
     (["edge-constant", "inf"], "chi"),
     (["wedge-trace", "1", "1", "nan"], "bisector"),
+    (["wedge-trace", "1", "4"], "phi"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_closed_form_bad_arguments(capsys, params, argument):
     """Each ends in exit 1 naming the argument, not a number or a
@@ -210,11 +211,24 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, command, field,
                                 "experiment": {"operator": "delta-prime",
                                                "wedge_phi": 7, "wedge_levels": 2}}),
     ("unitary", "trials", {"experiment": {"trials": 0}}),
+    ("indicator", "box_radii", {"experiment": {"box_radii": [6, -9]}}),
+    ("indicator", "sides", {"experiment": {"sides": 2}}),
+    ("indicator", "radius", {"experiment": {"radius": -1}}),
+    *[(name, "box_radius", {"experiment": {"box_radius": -1}})
+      for name in ("ordering", "unitary", "deformation", "sharpness")],
+    ("sharpness", "alpha", {"alpha": -1}),
+    ("sharpness", "alpha", {"alpha": 0}),
+    ("sharpness", "beta", {"experiment": {"beta": -1}}),
 ], ids=["threshold-delta-prime", "threshold-delta", "threshold-wedge",
         "threshold-wedge-n-0", "deformation-alpha-0",
         "deformation-alpha-negative", "deformation-n-0", "deformation-bump-3d",
         "deformation-bump-ragged", "star-bounds-lengths", "star-bounds-radius-0",
-        "threshold-radius-negative", "threshold-wedge-phi-7", "unitary-no-trials"])
+        "threshold-radius-negative", "threshold-wedge-phi-7", "unitary-no-trials",
+        "indicator-radii-negative", "indicator-sides-2",
+        "indicator-radius-negative", "ordering-box-radius-negative",
+        "unitary-box-radius-negative", "deformation-box-radius-negative",
+        "sharpness-box-radius-negative", "sharpness-alpha-negative",
+        "sharpness-alpha-0", "sharpness-beta-negative"])
 def test_experiment_arguments_out_of_domain(tmp_path, capsys, experiment, name,
                                             config):
     """An argument outside its experiment's domain ends in exit 1 naming it,

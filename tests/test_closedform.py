@@ -180,22 +180,24 @@ _Z3 = [np.zeros(2)] * 3
 
 
 @pytest.mark.parametrize("func,args,match", [
-    (closedform.halfplane_bottoms, (_NAN, 1.0), "strengths"),
-    (closedform.halfplane_bottoms, (1.0, _INF), "strengths"),
+    (closedform.halfplane_bottoms, (_NAN, 1.0), "alpha"),
+    (closedform.halfplane_bottoms, (1.0, _INF), "beta"),
     (closedform.star_delta_bottom, (_INF,), "alpha"),
     (closedform.star_delta_bottom, (_NAN,), "alpha"),
     (closedform.wedge_trace_bound, (_NAN, 1.0), "gamma"),
     (closedform.wedge_trace_bound, (_INF, 1.0), "gamma"),
-    (closedform.wedge_trace_bound, (1.0, _NAN), "opening angle"),
+    (closedform.wedge_trace_bound, (1.0, _NAN), "phi"),
     (closedform.m_functions, (0.5, _NAN), "t must"),
     (closedform.m_functions, (_NAN, 0.5), "omega"),
     (closedform.abc_inequality_check, (_Z3, _Z3, 0.5, _INF), "t must"),
-    (closedform.interval_delta_prime, (_NAN, 1.0), "beta and l"),
-    (closedform.interval_delta_prime, (1.0, _INF), "beta and l"),
-    (closedform.interval_fem_oracle, (-_INF, 1.0), "beta and l"),
+    (closedform.interval_delta_prime, (_NAN, 1.0), "beta"),
+    (closedform.interval_delta_prime, (1.0, _INF), "^l must"),
+    (closedform.interval_fem_oracle, (-_INF, 1.0), "beta"),
+    (closedform.omega_star, (_NAN,), "^t must"),
+    (closedform.interval_fem_oracle, (1.0, 1.0, 3), "n_elems"),
 ])
 def test_non_finite_arguments_rejected(func, args, match):
-    """NaN and +-inf fail the finite-and-positive checks with the function's
-    own named error, instead of a non-finite result or a brentq failure."""
+    """NaN, +-inf and too few elements fail the domain checks with an error
+    naming the argument, instead of a non-finite result or a brentq failure."""
     with pytest.raises(ValueError, match=match):
         func(*args)

@@ -135,6 +135,14 @@ def test_deformation_line_pieces_match_quadrature(alpha, bump):
         assert abs(q["value"] - value) <= 1e-14 * scale
 
 
+def test_deformation_discrete_route_is_pinned():
+    """The discrete route's I_n at L4, bit for bit (float.hex): the nodal
+    profile bump(x/n) exp(-alpha|y|/2) on the Neumann delta form."""
+    rep = experiments.run_deformation_bound_state(levels=4)
+    assert {n: v.hex() for n, v in rep.quantities["discrete_I_n"].items()} \
+        == {1.0: "0x1.f5afc695dd0e7p+3", 4.0: "0x1.dac03791cb3f0p-2"}
+
+
 def test_sharpness_report():
     rep = experiments.run_sharpness_chi2(levels=5)
     assert rep.passed, rep.to_text()

@@ -181,47 +181,24 @@ def test_bump_profile_constants():
 
 
 def test_sample_test_function_errors():
+    """Each number is checked by its own name; the support must lie on the
+    interface ray."""
     _, m, d = _setup("half_plane", 1, box_radius=2.0)
-    with pytest.raises(ValueError):
-        forms.sample_test_function(m, "no_such_family", {})
-    with pytest.raises(ValueError, match="support"):
-        forms.sample_test_function(m, "deformation_fn",
-                                   {"alpha": 1.0, "n": 50.0})
-    # a misspelt key and the retired deformation_fn center are named
-    for extra in ({"cneter": 2.0}, {"center": 1.5}):
-        key = next(iter(extra))
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            forms.sample_test_function(m, "deformation_fn",
-                                       {"n": 1.0, "alpha": 1.0, **extra})
-    with pytest.raises(ValueError, match="'cneter'"):
-        forms.sample_test_function(m, "wedge_psi_np", {"n": 1.0, "cneter": 2.0})
-    # every needed key is required, and each number is checked by name
     dof_node, dof_sub, _ = forms.broken_dof_layout(m)
-    wedge = {"layout": (dof_node, dof_sub), "n": 0.25, "beta": 2.0,
-             "center": 0.75}
-    assert forms.sample_test_function(m, "wedge_psi_np", wedge).shape == dof_node.shape
-    for family, params, key in (
-            ("deformation_fn", {"alpha": 1.0}, "n"),
-            ("wedge_psi_np", {k: v for k, v in wedge.items() if k != "layout"},
-             "layout"),
-            ("wedge_psi_np", {k: v for k, v in wedge.items() if k != "beta"},
-             "beta")):
-        with pytest.raises(ValueError, match=f"missing parameters.*'{key}'"):
-            forms.sample_test_function(m, family, params)
-    bad = [("deformation_fn", {"alpha": 1.0}, "n", v) for v in (0.0, -1.0, np.nan)]
-    bad += [("deformation_fn", {"n": 1.0}, "alpha", v) for v in (np.inf, "x", None)]
-    bad += [("wedge_psi_np", wedge, key, v) for key, values in (
-        ("n", (0.0, -1.0, np.inf)), ("beta", (0.0, -2.0, np.nan)),
+    wedge = {"n": 0.25, "beta": 2.0, "center": 0.75}
+    assert forms.sample_test_function(m, dof_node, dof_sub,
+                                      **wedge).shape == dof_node.shape
+    with pytest.raises(ValueError, match="support"):
+        forms.sample_test_function(m, dof_node, dof_sub,
+                                   **{**wedge, "center": 1.75})
+    bad = [(key, v) for key, values in (
+        ("n", (0.0, -1.0, np.inf, np.nan)), ("beta", (0.0, -2.0, np.nan)),
         ("center", (np.nan, "x")), ("p", (np.inf,)), ("angle", (np.nan,)))
         for v in values]
-    for family, params, key, value in bad:
-        with pytest.raises(ValueError, match=f"parameter '{key}' must be"):
-            forms.sample_test_function(m, family, {**params, key: value})
-    # the upper subdomain and the ray length are fixed (1 and the box
-    # radius), so the retired keys are unknown
-    for key, value in (("upper", 1), ("ray_length", 2.0)):
-        with pytest.raises(ValueError, match=f"unknown parameters.*'{key}'"):
-            forms.sample_test_function(m, "wedge_psi_np", {**wedge, key: value})
+    for key, value in bad:
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            forms.sample_test_function(m, dof_node, dof_sub,
+                                       **{**wedge, key: value})
 
 
 def test_export_matrix_roundtrip():
@@ -332,9 +309,9 @@ def test_wedge_local_quotient_of_complex_vector():
     d = geometry.InteractionData.uniform(p, 0.0, beta)
     bf = forms.assemble_delta_prime(m, d, "neumann")
     dof_node, dof_sub, table = forms.broken_dof_layout(m)
-    psi = forms.sample_test_function(m, "wedge_psi_np", {
-        "layout": (dof_node, dof_sub), "n": n, "p": 0.7, "beta": beta,
-        "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0})
+    psi = forms.sample_test_function(
+        m, dof_node, dof_sub, n=n, p=0.7, beta=beta, center=2.0 * n + 4.0,
+        angle=np.pi / 2.0 - phi / 2.0)
     assert np.max(np.abs(psi.imag)) > 0.1
     local = experiments._broken_rayleigh_local(
         m, table, forms.jump_coupling(m, d.beta, table), psi)
@@ -343,7 +320,7 @@ def test_wedge_local_quotient_of_complex_vector():
 
 def _wedge_psi_full_box(m, dof_node, dof_subdomain, n, p, beta, center,
                         angle):
-    """wedge_psi_np evaluated on every broken dof of the box: the reference
+    """The wedge test function evaluated on every broken dof of the box: the reference
     for the support-only sampler, with the same expressions in the same
     operand order."""
     R = m.box_radius
@@ -369,8 +346,7 @@ def test_wedge_psi_matches_the_full_box_formula(momentum):
     for n in (2.0, 4.0, 8.0):
         params = {"n": n, "p": momentum, "beta": 2.0, "center": 2.0 * n + 4.0,
                   "angle": np.pi / 2.0 - phi / 2.0}
-        got = forms.sample_test_function(
-            m, "wedge_psi_np", {"layout": (dof_node, dof_sub), **params})
+        got = forms.sample_test_function(m, dof_node, dof_sub, **params)
         want = _wedge_psi_full_box(m, dof_node, dof_sub, **params)
         zero = want == 0
         assert 0 < zero.sum() < zero.size
@@ -395,9 +371,9 @@ def test_wedge_quotient_memory_is_bounded():
         dof_node, dof_sub, table = forms.broken_dof_layout(m)
         jump = forms.jump_coupling(m, d.beta, table)
         for n in (8.0, 16.0, 32.0):
-            psi = forms.sample_test_function(m, "wedge_psi_np", {
-                "layout": (dof_node, dof_sub), "n": n, "beta": beta,
-                "center": 2.0 * n + 4.0, "angle": np.pi / 2.0 - phi / 2.0})
+            psi = forms.sample_test_function(
+                m, dof_node, dof_sub, n=n, beta=beta, center=2.0 * n + 4.0,
+                angle=np.pi / 2.0 - phi / 2.0)
             experiments._broken_rayleigh_local(m, table, jump, psi)
             del psi
         peak = tracemalloc.get_traced_memory()[1]
