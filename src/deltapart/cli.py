@@ -218,7 +218,10 @@ def _assemble(cfg: Config, operator: str) -> forms.DiscreteForm:
 def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
     df = _assemble(cfg, operator)
     s = cfg.solver
-    r = eigen.lowest_form_eigenpairs(df, s.k, tol=s.tol, seed=s.seed)
+    bottom = closedform.spectral_bottom(cfg.geometry_name, operator, cfg.bc,
+                                        cfg.alpha, cfg.beta)
+    r = eigen.lowest_form_eigenpairs(df, s.k, tol=s.tol, seed=s.seed,
+                                     bottom=bottom)
     below = {"count_below_threshold": r.count_below(cfg.threshold, 10.0 * s.tol)}
     if below["count_below_threshold"] is None:
         below["count_below_at_least"] = r.eigenvalues.size
@@ -232,7 +235,7 @@ def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
             "eigenvalues": " ".join(_sig(v) for v in r.eigenvalues),
             "residuals": " ".join(format(float(v), ".3e") for v in r.residuals),
             "method": r.method, "converged": r.converged,
-            "dofs": df.A.shape[0], **below,
+            "dofs": df.A.shape[0], "spectral_bottom": bottom, **below,
         })
     else:
         _emit_json({
@@ -242,6 +245,7 @@ def _cmd_spectrum(cfg: Config, operator: str, fmt: str) -> int:
             "residuals": [float(v) for v in r.residuals],
             "method": r.method, "converged": bool(r.converged),
             "shift": None if r.shift is None else float(r.shift),
+            "spectral_bottom": bottom,
             "threshold": cfg.threshold, **below,
         })
     if not r.converged:

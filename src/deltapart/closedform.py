@@ -1,5 +1,6 @@
 """Analytic constants and low-dimensional auxiliary problems: half-plane and
-star spectral bottoms, wedge trace bounds, the (omega, t) minimax, the 1D
+star spectral bottoms (and `spectral_bottom`, which names the one a form
+has), wedge trace bounds, the (omega, t) minimax, the 1D
 interval jump-coupling eigenvalue, and the six-vector sum inequality."""
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import OPENING, POSITIVE, check, number, whole
+from .geometry import FINITE, OPENING, POSITIVE, check, number, whole
 
 __all__ = [
     "halfplane_bottoms",
+    "spectral_bottom",
     "wedge_trace_bound",
     "star_delta_bottom",
     "m_functions",
@@ -29,11 +31,13 @@ __all__ = [
     "abc_inequality_check",
     "PRINTED_MINIMAX_VALUE",
     "PRINTED_C_STAR",
+    "STAR_MINIMAX",
 ]
 
 SQ3 = math.sqrt(3.0)
 PRINTED_MINIMAX_VALUE = ((12.0 * SQ3 - 2.0) / 9.0) ** 2
 PRINTED_C_STAR = 4.0 - 2.0 * SQ3 / 9.0
+STAR_MINIMAX = (26.0 / (6.0 * SQ3 + 1.0)) ** 2   # minimax_star().value
 _UNIT = number(lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
@@ -42,6 +46,32 @@ def halfplane_bottoms(alpha: float, beta: float) -> tuple[float, float]:
     check(alpha, POSITIVE, "alpha")
     check(beta, POSITIVE, "beta")
     return -alpha * alpha / 4.0, -4.0 / (beta * beta)
+
+
+def spectral_bottom(geometry_name: str, operator: str, bc: str,
+                    alpha, beta) -> float | None:
+    """A lower bound of the whole-plane spectrum of a Dirichlet delta or
+    delta' form with one strength on every interface: its bottom
+    -alpha^2/4 or -4/beta^2 on the half-plane and -alpha^2/3 for delta on
+    star3, the minimax bound -STAR_MINIMAX/beta^2 for delta' on star3.
+    It bounds lambda_1 of the form from below at every mesh level: a P1
+    function (broken P1 for delta') extended by zero lies in the form
+    domain on the plane, where the discrete form is exact (min-max).
+    None for Neumann forms, other geometries, per-interface (dict)
+    strengths and delta with alpha <= 0; the delta' bound needs no
+    alpha."""
+    check(operator, (lambda v: v in ("delta", "delta-prime"),
+                     "'delta' or 'delta-prime'"), "operator")
+    if (bc != "dirichlet" or geometry_name not in ("half_plane", "star3")
+            or isinstance(alpha, dict) or isinstance(beta, dict)):
+        return None
+    star = geometry_name == "star3"
+    if operator == "delta":
+        if check(alpha, FINITE, "alpha") <= 0:
+            return None
+        return -alpha * alpha / (3.0 if star else 4.0)
+    check(beta, POSITIVE, "beta")
+    return -(STAR_MINIMAX if star else 4.0) / (beta * beta)
 
 
 def wedge_trace_bound(gamma: float, phi: float,

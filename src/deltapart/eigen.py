@@ -1,11 +1,13 @@
 """Generalized symmetric eigensolvers.
 
 `lowest_eigenpairs` is the production path (dense LAPACK for small problems,
-seeded two-stage shift-invert Lanczos above that, whose first shift sits
-below a certified lower bound the caller passes); `lowest_form_eigenpairs`
-runs it on an assembled form with the form's `coercivity_bound`, started
-from the prolonged eigenvectors of the same form two mesh levels coarser
-(nested iteration).
+seeded shift-invert Lanczos above that).  Given the closed-form spectral
+bottom of the form (`closedform.spectral_bottom`), it solves once from a
+shift just below it; otherwise it runs two stages, the first from a shift
+below a certified lower bound the caller passes, to place the second.
+`lowest_form_eigenpairs` runs it on an assembled form with the form's
+`coercivity_bound`, started from the prolonged eigenvectors of the same
+form two mesh levels coarser (nested iteration).
 `dense_eigen_oracle` is a self-contained cross-check that shares no
 factorization code with it: its Cholesky, triangular solves and
 Householder reduction are blocked numpy kernels built on matmul alone,
@@ -72,24 +74,31 @@ def _dense(n: int, k: int) -> bool:
 
 def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
                       lower_bound: float | None = None,
-                      start: np.ndarray | None = None) -> SpectrumResult:
+                      start: np.ndarray | None = None,
+                      bottom: float | None = None) -> SpectrumResult:
     """k smallest eigenpairs of A v = lam M v (A symmetric, M SPD).
 
     Pencils of at most _DENSE_CUTOFF rows (or 3(k + 5)) go to dense LAPACK.
-    Above that the solve is two-stage shift-invert Lanczos, deterministic for
-    a fixed seed: the start vector is drawn from a seeded generator.  Stage 1
-    finds an estimate lam_hat >= lambda_1 from the shift 1 below lower_bound,
-    a certified lb <= lambda_min (an assembled form's `coercivity_bound`),
-    which this path requires: without it a ValueError is raised.  Stage 2
-    solves at full precision from a shift below lam_hat and must not land
-    above it.
+    Above that the solve is shift-invert Lanczos, deterministic for a fixed
+    seed: the start vector is drawn from a seeded generator.  This path
+    requires lower_bound, a certified lb <= lambda_min (an assembled form's
+    `coercivity_bound`): without it a ValueError is raised.
 
-    start (n x j), e.g. prolonged coarse-mesh eigenvectors, seeds both
-    stages: stage 1 from start[:, 0], stage 2 from the sum of its
-    normalized columns, each with the seeded random vector mixed in at
-    weight 0.01, so that no eigenvector is missing from the Krylov space
-    even when start is orthogonal to it.  A good start lets the Lanczos
-    basis shrink to 2k + 8 vectors and the stage-2 margin to
+    With bottom, a lower bound of lambda_1 by theorem (the form's
+    `closedform.spectral_bottom`), one full-precision solve runs from the
+    shift max(bottom, lower_bound) - 1e-9 max(1, |.|).  Every eigenvalue
+    lies above that shift, so an eigenvalue returned below it means the
+    bottom was no bound: a RuntimeError is raised.  Without bottom the
+    solve has two stages.  Stage 1 finds an estimate lam_hat >= lambda_1
+    from the shift 1 below lower_bound.  Stage 2 solves at full precision
+    from a shift below lam_hat and must not land above it.
+
+    start (n x j), e.g. prolonged coarse-mesh eigenvectors, seeds the
+    solves: stage 1 from start[:, 0], the full-precision solve from the
+    sum of its normalized columns, each with the seeded random vector
+    mixed in at weight 0.01, so that no eigenvector is missing from the
+    Krylov space even when start is orthogonal to it.  A good start lets
+    the Lanczos basis shrink to 2k + 8 vectors and the stage-2 margin to
     2% of max(1, |lam_hat|).  Without start the basis has max(4k + 10, 40)
     vectors and the margin is 50%.
     """
@@ -123,15 +132,20 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         v0 = unit.sum(axis=1) / np.sqrt(unit.shape[1]) + noise
         ncv1, ncv, margin = 10, 2 * k + 8, 0.02
     ncv = min(n - 1, ncv)
-    # stage 1: shift below the certified bound, so the nearest-to-shift
-    # eigenvalue is provably the bottom; loose tolerance keeps it cheap
-    sigma1 = float(lower_bound) - 1.0
-    rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v1,
-                       ncv=min(n - 1, ncv1), maxiter=5000, tol=1e-5,
-                       return_eigenvectors=False)
-    lam_hat = float(np.min(rough))      # >= lambda_1 (Ritz from below in OP)
-    # stage 2: refined shift with a safety margin, full precision
-    sigma = lam_hat - margin * max(1.0, abs(lam_hat))
+    if bottom is not None:
+        # the bottom bounds lambda_1 by theorem: no stage 1 is needed
+        floor = max(float(bottom), float(lower_bound))
+        sigma = floor - 1e-9 * max(1.0, abs(floor))
+    else:
+        # stage 1: shift below the certified bound, so the nearest-to-shift
+        # eigenvalue is provably the bottom; loose tolerance keeps it cheap
+        sigma1 = float(lower_bound) - 1.0
+        rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v1,
+                           ncv=min(n - 1, ncv1), maxiter=5000, tol=1e-5,
+                           return_eigenvectors=False)
+        lam_hat = float(np.min(rough))  # >= lambda_1 (Ritz from below in OP)
+        # stage 2: refined shift with a safety margin
+        sigma = lam_hat - margin * max(1.0, abs(lam_hat))
     try:
         vals, V = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", v0=v0,
                              ncv=ncv, maxiter=5000)
@@ -139,9 +153,15 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     except spla.ArpackNoConvergence as exc:  # keep whatever did converge
         vals, V = exc.eigenvalues, exc.eigenvectors
         converged = vals.size >= k
-    if vals.size and float(np.min(vals)) > lam_hat + 1e-6 * max(1.0, abs(lam_hat)):
+    low = float(np.min(vals)) if vals.size else None
+    if bottom is not None and low is not None and low < sigma:
         raise RuntimeError(
-            f"refined solve lost the spectral bottom: {float(np.min(vals))!r} "
+            f"spectral bottom {float(bottom)!r} is not a lower bound: "
+            f"eigenvalue {low!r} lies below the shift {sigma!r} under it")
+    if bottom is None and low is not None and (
+            low > lam_hat + 1e-6 * max(1.0, abs(lam_hat))):
+        raise RuntimeError(
+            f"refined solve lost the spectral bottom: {low!r} "
             f"above the certified-shift estimate {lam_hat!r}")
     order = np.argsort(vals)
     vals, V = vals[order], V[:, order]
@@ -152,7 +172,8 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
 
 
 def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
-                           seed: int = 0) -> SpectrumResult:
+                           seed: int = 0,
+                           bottom: float | None = None) -> SpectrumResult:
     """k smallest eigenpairs of an assembled form (nested iteration).
 
     On a delta or delta' form of refinement level >= 2 that takes the
@@ -164,15 +185,18 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
     fine solve that fails or does not converge, a form without that
     coarse level, or one whose coarse form has no more than k dofs gets
     the solve from the seeded random vector alone.  Either way the first
-    shift lies below the form's certified `coercivity_bound`."""
+    shift lies below the form's certified `coercivity_bound`, or, given
+    bottom (`closedform.spectral_bottom` of the form, a bound at every
+    mesh level), the one shift lies just below bottom at every level."""
     solve = functools.partial(lowest_eigenpairs, df.A, df.M, k, tol=tol,
-                              seed=seed, lower_bound=df.coercivity_bound)
+                              seed=seed, lower_bound=df.coercivity_bound,
+                              bottom=bottom)
     if (df.interaction is not None and df.mesh.refinement_level >= 2
             and not _dense(df.n_dofs, k)):
         cf, P = forms.coarse_form(df)
         if cf.n_dofs > k:
             try:
-                coarse = lowest_form_eigenpairs(cf, k, tol, seed)
+                coarse = lowest_form_eigenpairs(cf, k, tol, seed, bottom)
                 r = solve(start=P @ coarse.eigenvectors)
             except (RuntimeError, np.linalg.LinAlgError):
                 pass            # ArpackError is a RuntimeError

@@ -103,8 +103,9 @@ def jsonable(x):
     return x
 
 
-def _solve(df: forms.DiscreteForm, k: int, tol: float, seed: int):
-    r = eigen.lowest_form_eigenpairs(df, k, tol=tol, seed=seed)
+def _solve(df: forms.DiscreteForm, k: int, tol: float, seed: int,
+           bottom: float | None = None):
+    r = eigen.lowest_form_eigenpairs(df, k, tol=tol, seed=seed, bottom=bottom)
     if not r.converged:
         raise RuntimeError(
             f"eigensolver did not converge (method {r.method}, "
@@ -133,8 +134,10 @@ def run_ordering(geometry_name: str = "star3", geometry_params: Optional[dict] =
     hypothesis_ok = limit is None or beta <= limit + 1e-12
     df = forms.assemble_delta(m, d, "dirichlet")
     bf = forms.assemble_delta_prime(m, d, "dirichlet")
-    rd = _solve(df, k, tol, seed)
-    rb = _solve(bf, k, tol, seed)
+    rd = _solve(df, k, tol, seed, closedform.spectral_bottom(
+        geometry_name, "delta", "dirichlet", alpha, beta))
+    rb = _solve(bf, k, tol, seed, closedform.spectral_bottom(
+        geometry_name, "delta-prime", "dirichlet", alpha, beta))
     rep.quantities.update({
         "chi": col.chi, "beta_limit": limit, "hypothesis_ok": hypothesis_ok,
         "dofs_continuous": df.n_dofs, "dofs_broken": bf.n_dofs,
@@ -527,9 +530,9 @@ def run_sharpness_chi2(alpha: float = 1.0, beta: float = 5.0,
     p, m = mesh.canonical_mesh("half_plane", None, box_radius, levels)
     dd = geometry.InteractionData.uniform(p, alpha, beta)
     lam_d = float(_solve(forms.assemble_delta(m, dd, "dirichlet"),
-                         1, tol, seed).eigenvalues[0])
+                         1, tol, seed, bot_d).eigenvalues[0])
     lam_b = float(_solve(forms.assemble_delta_prime(m, dd, "dirichlet"),
-                         1, tol, seed).eigenvalues[0])
+                         1, tol, seed, bot_b).eigenvalues[0])
     rep.quantities.update({"lambda1_delta": lam_d, "lambda1_delta_prime": lam_b})
     if impossible:
         rep.check_le("thresholds reversed", -bot_b, -bot_d, 0.0,

@@ -261,8 +261,6 @@ def _half_plane(R: float) -> _Cells:
 
 
 def _wedge(R: float, phi: float) -> _Cells:
-    if not (0 < phi <= math.pi):
-        raise ValueError(f"wedge angle phi must lie in (0, pi], got {phi}")
     pool = _VertexPool(R)
     o = pool.add(0.0, 0.0)
     e1 = _ray_box_exit(math.pi / 2 - phi / 2, R)
@@ -481,7 +479,7 @@ def build_canonical_partition(name: str, params: dict | None = None) -> Partitio
     if name == "half_plane":
         pool, subs = _half_plane(R)
     elif name == "wedge":
-        phi = float(_param(params, "phi", 2 * math.pi / 3, FINITE))
+        phi = float(_param(params, "phi", 2 * math.pi / 3, OPENING))
         pool, subs = _wedge(R, phi)
     elif name == "star3":
         pool, subs = _star3(R)

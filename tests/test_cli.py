@@ -149,6 +149,8 @@ def test_solver_max_iter_rejected(tmp_path, capsys):
     ("star3", "box_radius", 10),
     ("island", "radius", math.inf),
     ("wedge", "phi", math.inf),
+    ("wedge", "phi", 7),
+    ("wedge", "phi", 0),
     ("line_with_bump", "bump", [[math.nan, 1], [1, 1], [1, 3], [-1, 3]]),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_malformed_geometry_params(tmp_path, capsys, name, key, value):
@@ -309,6 +311,28 @@ def test_count_below_threshold_is_exact_or_null(tmp_path, capsys, k, count,
     lines = capsys.readouterr().out.splitlines()
     assert f"count_below_threshold = {count!r}" in lines
     assert (f"count_below_at_least = {at_least!r}" in lines) == (count is None)
+
+
+@pytest.mark.parametrize("config,bottom", [
+    ({"geometry": {"name": "half_plane"}, "box_radius": 8, "levels": 5,
+      "alpha": 2}, -1.0),
+    ({"geometry": {"name": "island"}, "box_radius": 6, "levels": 2,
+      "bc": "neumann"}, None),
+])
+def test_spectrum_reports_its_spectral_bottom(tmp_path, capsys, config,
+                                              bottom):
+    """The closed-form bottom that placed the shift (-alpha^2/4 on the
+    Dirichlet half-plane), or null where the two-stage path set it."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(dict(config, solver={"k": 2})))
+    assert cli.main(["spectrum", "--operator", "delta", "--config", str(f)]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["spectral_bottom"] == bottom
+    if bottom is not None:
+        assert d["shift"] < bottom < d["eigenvalues"][0]
+    assert cli.main(["--format", "text", "spectrum", "--operator", "delta",
+                     "--config", str(f)]) == 0
+    assert f"spectral_bottom = {bottom!r}" in capsys.readouterr().out.splitlines()
 
 
 def test_spectrum_deterministic_byte_identical(cfg_file, capsys):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from deltapart import closedform
+from deltapart import closedform, forms, geometry, mesh
 
 
 def test_halfplane_bottoms():
@@ -37,6 +39,60 @@ def test_wedge_trace_bound():
 def test_star_delta_bottom():
     assert closedform.star_delta_bottom(1.0) == pytest.approx(-1.0 / 3.0)
     assert closedform.star_delta_bottom(3.0) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("name,operator,R,alpha,beta", [
+    (name, op, R, a, b) for name, op, R, (a, b) in itertools.product(
+        ("half_plane", "star3"), ("delta", "delta-prime"), (3.0, 6.0, 8.0),
+        ((1.0, 1.0), (2.0, 0.5), (1.0, 3.0)))])
+def test_spectral_bottom_below_dense_lambda1(name, operator, R, alpha, beta):
+    """The closed-form bottom is a lower bound of the discrete lambda_1 on
+    a coarse mesh, where lambda_1 lies close above it (star3 R8 delta:
+    -0.3258 against -1/3) or far above it (the R3 boxes)."""
+    p, m = mesh.canonical_mesh(name, None, R, 3)
+    d = geometry.InteractionData.uniform(p, alpha, beta)
+    maker = (forms.assemble_delta if operator == "delta"
+             else forms.assemble_delta_prime)
+    df = maker(m, d, "dirichlet")
+    lam1 = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
+                    subset_by_index=[0, 0])[0]
+    bottom = closedform.spectral_bottom(name, operator, "dirichlet", alpha,
+                                        beta)
+    assert bottom <= lam1
+    if operator == "delta":
+        assert bottom == (closedform.halfplane_bottoms(alpha, beta)[0]
+                          if name == "half_plane"
+                          else closedform.star_delta_bottom(alpha))
+
+
+@pytest.mark.parametrize("name,operator,bc,alpha,beta", [
+    ("half_plane", "delta", "neumann", 1.0, 1.0),
+    ("star3", "delta-prime", "neumann", 1.0, 1.0),
+    ("grid", "delta", "dirichlet", 1.0, 1.0),
+    ("island", "delta-prime", "dirichlet", 1.0, 1.0),
+    ("line_with_bump", "delta", "dirichlet", 1.0, 1.0),
+    ("wedge", "delta-prime", "dirichlet", 1.0, 1.0),
+    ("half_plane", "delta", "dirichlet", {1: 1.0}, 1.0),
+    ("star3", "delta-prime", "dirichlet", 1.0, {1: 1.0, 2: 1.0, 3: 1.0}),
+    ("half_plane", "delta", "dirichlet", 0.0, 1.0),
+    ("star3", "delta", "dirichlet", -1.0, 1.0),
+])
+def test_spectral_bottom_none_without_a_theorem(name, operator, bc, alpha,
+                                                beta):
+    assert closedform.spectral_bottom(name, operator, bc, alpha, beta) is None
+
+
+def test_spectral_bottom_values():
+    """delta' needs no alpha; its star3 constant is the minimax value."""
+    sb = closedform.spectral_bottom
+    assert sb("half_plane", "delta", "dirichlet", 2.0, 1.0) == -1.0
+    assert sb("half_plane", "delta-prime", "dirichlet", 0.0, 2.0) == -1.0
+    assert sb("star3", "delta-prime", "dirichlet", -1.0, 1.0) == \
+        -closedform.STAR_MINIMAX
+    assert closedform.STAR_MINIMAX.hex() == \
+        closedform.minimax_star().value.hex()
+    with pytest.raises(ValueError, match="operator"):
+        sb("half_plane", "delta_prime", "dirichlet", 1.0, 1.0)
 
 
 def test_m_functions_and_crossing():

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from deltapart import eigen, forms, geometry, mesh
+from deltapart import closedform, eigen, forms, geometry, mesh
 
 
 def _form(name, levels, operator="delta", bc="dirichlet", alpha=1.0,
@@ -310,3 +310,65 @@ def test_fine_level_solve_count(monkeypatch):
         r = eigen.lowest_form_eigenpairs(df, 1, seed=0)
         assert r.converged
         assert 0 < counts[df.n_dofs] <= 30
+
+
+# -- one solve from the closed-form spectral bottom ---------------------------
+
+def _half_plane_bottom(operator, levels):
+    """A Dirichlet half-plane form (alpha = 1, beta = 2) and its
+    `closedform.spectral_bottom`."""
+    df = _form("half_plane", levels, operator=operator, alpha=1.0, beta=2.0,
+               box_radius=8.0)
+    return df, closedform.spectral_bottom("half_plane", operator,
+                                          "dirichlet", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+@pytest.mark.parametrize("k", [1, 10])
+def test_bottom_path_matches_two_stage_path(operator, k):
+    df, bottom = _half_plane_bottom(operator, 5)
+    assert df.n_dofs > eigen._DENSE_CUTOFF
+    two_stage = eigen.lowest_form_eigenpairs(df, k)
+    one = eigen.lowest_form_eigenpairs(df, k, bottom=bottom)
+    assert one.converged and one.shift < bottom < one.eigenvalues[0]
+    assert np.max(np.abs(one.eigenvalues - two_stage.eigenvalues)
+                  / np.abs(two_stage.eigenvalues)) <= 1e-12
+
+
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+def test_bottom_path_calls_eigsh_once_per_lanczos_level(monkeypatch, operator):
+    """Levels 6 and 4 of this form take the Lanczos path (level 2 is
+    dense): two eigsh calls from the bottom, four with stage 1."""
+    df, bottom = _half_plane_bottom(operator, 6)
+    plain = eigen.spla.eigsh
+    sizes = collections.Counter()
+
+    def counted(A, *args, **kwargs):
+        sizes[A.shape[0]] += 1
+        return plain(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigen.spla, "eigsh", counted)
+    eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
+    once = dict(sizes)
+    sizes.clear()
+    eigen.lowest_form_eigenpairs(df, 1)
+    assert len(once) == 2 and df.n_dofs in once
+    assert all(v == 1 for v in once.values())
+    assert sizes == {n: 2 for n in once}
+
+
+@pytest.mark.parametrize("solver", ["pencil", "form"])
+def test_bottom_above_lambda1_is_refused(solver):
+    """A bottom between lambda_1 and lambda_2 puts the shift above lambda_1:
+    the solve raises instead of returning lambda_2 as the bottom, also
+    through the warm start's fallback to the random start."""
+    df, _ = _half_plane_bottom("delta", 5)
+    lam = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 1])
+    bottom = lam[0] + 0.05 * (lam[1] - lam[0])
+    with pytest.raises(RuntimeError, match="spectral bottom .* not a lower"):
+        if solver == "pencil":
+            eigen.lowest_eigenpairs(df.A, df.M, 1, bottom=bottom,
+                                    lower_bound=df.coercivity_bound)
+        else:
+            eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
