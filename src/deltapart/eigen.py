@@ -32,6 +32,10 @@ __all__ = ["SpectrumResult", "lowest_eigenpairs", "lowest_form_eigenpairs",
 _DENSE_CUTOFF = 400
 
 
+class _BottomError(RuntimeError):
+    """The spectral bottom given to a solve is not a lower bound."""
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray   # ascending
@@ -155,7 +159,7 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         converged = vals.size >= k
     low = float(np.min(vals)) if vals.size else None
     if bottom is not None and low is not None and low < sigma:
-        raise RuntimeError(
+        raise _BottomError(
             f"spectral bottom {float(bottom)!r} is not a lower bound: "
             f"eigenvalue {low!r} lies below the shift {sigma!r} under it")
     if bottom is None and low is not None and (
@@ -187,7 +191,9 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
     the solve from the seeded random vector alone.  Either way the first
     shift lies below the form's certified `coercivity_bound`, or, given
     bottom (`closedform.spectral_bottom` of the form, a bound at every
-    mesh level), the one shift lies just below bottom at every level."""
+    mesh level), the one shift lies just below bottom at every level.  A
+    bottom refused at either level (the RuntimeError of
+    `lowest_eigenpairs`) is raised at once, with no random-start retry."""
     solve = functools.partial(lowest_eigenpairs, df.A, df.M, k, tol=tol,
                               seed=seed, lower_bound=df.coercivity_bound,
                               bottom=bottom)
@@ -198,6 +204,8 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
             try:
                 coarse = lowest_form_eigenpairs(cf, k, tol, seed, bottom)
                 r = solve(start=P @ coarse.eigenvectors)
+            except _BottomError:
+                raise           # the random start would be refused the same
             except (RuntimeError, np.linalg.LinAlgError):
                 pass            # ArpackError is a RuntimeError
             else:

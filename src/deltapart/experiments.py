@@ -244,6 +244,9 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
 # essential-spectrum thresholds on growing boxes
 # ---------------------------------------------------------------------------
 
+_BLOCK = 32768
+
+
 def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     """Broken-form Rayleigh quotient of a full broken vector, assembled only
     over elements meeting the support of f (identical to the value on the
@@ -253,21 +256,25 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     vectors builds them once.  Broken dofs are looked up only for the
     triangles with a vertex that carries a nonzero entry in some subdomain;
     of those, the triangles with a nonzero entry among their own dofs are
-    kept, in ascending order."""
+    kept, in ascending order.  The candidates are taken _BLOCK at a time,
+    so the dof gather and the element matrices never hold more than one
+    block."""
     nz = np.abs(f) > 0.0
     marked = ((table >= 0) & nz[table]).any(axis=0)
     tris = m.triangles
     cand = np.flatnonzero(marked[tris[:, 0]] | marked[tris[:, 1]] | marked[tris[:, 2]])
-    tri_dofs = table[m.tri_subdomain[cand, None], tris[cand]]
-    active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
-    tl = tri_dofs[active]
-    stiff, mass, _ = _kernels.p1_elements(
-        np.ascontiguousarray(m.nodes), tris[cand[active]])
-    v = f[tl]                                            # (na, 3) possibly complex
-    S = np.asarray(stiff).reshape(-1, 3, 3)
-    Mm = np.asarray(mass).reshape(-1, 3, 3)
-    num = float(np.real(np.einsum("ti,tij,tj->", np.conj(v), S, v)))
-    den = float(np.real(np.einsum("ti,tij,tj->", np.conj(v), Mm, v)))
+    nodes = np.ascontiguousarray(m.nodes)
+    num = den = 0.0
+    for b in range(0, cand.size, _BLOCK):
+        c = cand[b:b + _BLOCK]
+        tri_dofs = table[m.tri_subdomain[c, None], tris[c]]
+        active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
+        stiff, mass, _ = _kernels.p1_elements(nodes, tris[c[active]])
+        v = f[tri_dofs[active]]                          # (na, 3) possibly complex
+        S = np.asarray(stiff).reshape(-1, 3, 3)
+        Mm = np.asarray(mass).reshape(-1, 3, 3)
+        num += float(np.real(np.einsum("ti,tij,tj->", np.conj(v), S, v)))
+        den += float(np.real(np.einsum("ti,tij,tj->", np.conj(v), Mm, v)))
     jd, jl = jump
     vj = f[jd]
     num += float(np.real(np.einsum("qi,qij,qj->", np.conj(vj), jl, vj)))

@@ -358,17 +358,26 @@ def test_bottom_path_calls_eigsh_once_per_lanczos_level(monkeypatch, operator):
 
 
 @pytest.mark.parametrize("solver", ["pencil", "form"])
-def test_bottom_above_lambda1_is_refused(solver):
+def test_bottom_above_lambda1_is_refused(solver, monkeypatch):
     """A bottom between lambda_1 and lambda_2 puts the shift above lambda_1:
     the solve raises instead of returning lambda_2 as the bottom, also
-    through the warm start's fallback to the random start."""
+    from the warm start, after one fine solve and no random-start retry."""
     df, _ = _half_plane_bottom("delta", 5)
     lam = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
                    subset_by_index=[0, 1])
     bottom = lam[0] + 0.05 * (lam[1] - lam[0])
+    plain = eigen.spla.eigsh
+    sizes = collections.Counter()
+
+    def counted(A, *args, **kwargs):
+        sizes[A.shape[0]] += 1
+        return plain(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigen.spla, "eigsh", counted)
     with pytest.raises(RuntimeError, match="spectral bottom .* not a lower"):
         if solver == "pencil":
             eigen.lowest_eigenpairs(df.A, df.M, 1, bottom=bottom,
                                     lower_bound=df.coercivity_bound)
         else:
             eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
+    assert sizes[df.n_dofs] == 1

@@ -300,10 +300,14 @@ def test_export_matrix_matches_per_entry_format():
     assert forms.export_matrix(A) == "\n".join(lines) + "\n"
 
 
-def test_wedge_local_quotient_of_complex_vector():
+@pytest.mark.parametrize("block", [None, 97], ids=["default", "97"])
+def test_wedge_local_quotient_of_complex_vector(block, monkeypatch):
     """The local Rayleigh quotient of a wedge test function with momentum
     p != 0 (a complex vector) equals the quotient on the fully assembled
-    broken Neumann form."""
+    broken Neumann form, in one block of candidate triangles and in many
+    blocks of an odd size."""
+    if block is not None:
+        monkeypatch.setattr(experiments, "_BLOCK", block)
     phi, beta, R, n = 3.0 * np.pi / 4.0, 2.0, 40.0, 4.0
     p, m = mesh.canonical_mesh("wedge", {"phi": phi}, R, 5)
     d = geometry.InteractionData.uniform(p, 0.0, beta)
@@ -381,6 +385,30 @@ def test_wedge_quotient_memory_is_bounded():
         tracemalloc.stop()
     ratio = peak / m.triangles.nbytes
     assert ratio <= 4.5, f"quotient phase peak {ratio:.2f}x the triangle bytes"
+
+
+def test_wedge_quotient_memory_is_bounded_by_the_block(monkeypatch):
+    """With blocks of 4096 candidate triangles, the traced peak of the
+    n = 32 quotient on the whole-box wedge mesh at R = 140, L7 stays within
+    the bytes of the mesh triangles: about 0.8x, against about 3x when the
+    whole support is gathered at once."""
+    monkeypatch.setattr(experiments, "_BLOCK", 4096)
+    phi, beta, R, n = 3.0 * np.pi / 4.0, 2.0, 140.0, 32.0
+    p, m = mesh.canonical_mesh("wedge", {"phi": phi}, R, 7)
+    d = geometry.InteractionData.uniform(p, 0.0, beta)
+    dof_node, dof_sub, table = forms.broken_dof_layout(m)
+    jump = forms.jump_coupling(m, d.beta, table)
+    psi = forms.sample_test_function(
+        m, dof_node, dof_sub, n=n, beta=beta, center=2.0 * n + 4.0,
+        angle=np.pi / 2.0 - phi / 2.0)
+    tracemalloc.start()
+    try:
+        experiments._broken_rayleigh_local(m, table, jump, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / m.triangles.nbytes
+    assert ratio <= 1.0, f"n = 32 quotient peak {ratio:.2f}x the triangle bytes"
 
 
 def test_subdomain_robin_zero_gamma_is_stiffness():
