@@ -45,7 +45,8 @@ def halfplane_bottoms(alpha: float, beta: float) -> tuple[float, float]:
     """Spectral bottoms for a straight-line interface: (-alpha^2/4, -4/beta^2)."""
     check(alpha, POSITIVE, "alpha")
     check(beta, POSITIVE, "beta")
-    return -alpha * alpha / 4.0, -4.0 / (beta * beta)
+    return tuple(spectral_bottom("half_plane", op, "dirichlet", alpha, beta)
+                 for op in ("delta", "delta-prime"))
 
 
 def spectral_bottom(geometry_name: str, operator: str, bc: str,
@@ -90,7 +91,7 @@ def wedge_trace_bound(gamma: float, phi: float,
 
 def star_delta_bottom(alpha: float) -> float:
     check(alpha, POSITIVE, "alpha")
-    return -alpha * alpha / 3.0
+    return spectral_bottom("star3", "delta", "dirichlet", alpha, None)
 
 
 def m_functions(omega: float, t: float) -> tuple[float, float]:

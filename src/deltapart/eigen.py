@@ -180,9 +180,9 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
                            bottom: float | None = None) -> SpectrumResult:
     """k smallest eigenpairs of an assembled form (nested iteration).
 
-    On a delta or delta' form of refinement level >= 2 that takes the
-    Lanczos path, the same form two levels coarser is solved first (by
-    this function, so the coarse solve is warm-started too) and its
+    On a form that takes the Lanczos path and has a `forms.coarse_form`,
+    that form two levels coarser is solved first (by this function, so
+    the coarse solve is warm-started too) and its
     eigenvectors, prolonged, start the fine solve.  The meshes are nested,
     so each coarse lambda_j bounds the fine lambda_j from above; a fine
     result above that bound has missed an eigenvalue.  It, a coarse or
@@ -197,9 +197,9 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
     solve = functools.partial(lowest_eigenpairs, df.A, df.M, k, tol=tol,
                               seed=seed, lower_bound=df.coercivity_bound,
                               bottom=bottom)
-    if (df.interaction is not None and df.mesh.refinement_level >= 2
-            and not _dense(df.n_dofs, k)):
-        cf, P = forms.coarse_form(df)
+    warm = None if _dense(df.n_dofs, k) else forms.coarse_form(df)
+    if warm is not None:
+        cf, P = warm
         if cf.n_dofs > k:
             try:
                 coarse = lowest_form_eigenpairs(cf, k, tol, seed, bottom)

@@ -208,7 +208,8 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
           "levels_list")
     bottom_delta = closedform.star_delta_bottom(alpha)
     mm = closedform.minimax_star()
-    certified_dp = -mm.value / beta ** 2
+    certified_dp = closedform.spectral_bottom("star3", "delta-prime",
+                                              "dirichlet", alpha, beta)
     printed_dp = -closedform.PRINTED_MINIMAX_VALUE / beta ** 2
     lams_d, lams_b = [], []
     for R, L in zip(box_radii, levels_list):
@@ -318,14 +319,9 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
     rep = ExperimentReport("threshold_convergence")
     check(strength, POSITIVE, "strength")
     if geometry_name == "half_plane":
-        if operator == "delta":
-            threshold = -strength ** 2 / 4.0
-            final_tol = 0.02
-        elif operator == "delta-prime":
-            threshold = -4.0 / strength ** 2
-            final_tol = 0.05
-        else:
-            raise ValueError(f"unknown operator {operator!r}")
+        threshold = closedform.spectral_bottom("half_plane", operator,
+                                               "dirichlet", strength, strength)
+        final_tol = 0.02 if operator == "delta" else 0.05
         check(box_radii, array_of(POSITIVE), "box_radii")
         lams = []
         for R in box_radii:
@@ -353,7 +349,8 @@ def run_threshold_convergence(geometry_name: str = "half_plane",
         if operator != "delta-prime":
             raise ValueError("the wedge threshold run is for the jump coupling")
         beta = strength
-        target = -4.0 / beta ** 2 + momentum ** 2
+        target = closedform.spectral_bottom(
+            "half_plane", "delta-prime", "dirichlet", None, beta) + momentum ** 2
         R = wedge_box_radius
         check(n_list, array_of(whole(1)), "n_list")
         check(wedge_phi, OPENING, "wedge_phi")
@@ -472,7 +469,8 @@ def run_deformation_bound_state(alpha: float = 1.0, n_list=(1.0, 4.0, 64.0),
     bfd = forms.assemble_delta_prime(m, d, "dirichlet")
     lam_d = float(_solve(dfd, 1, tol, seed).eigenvalues[0])
     lam_b = float(_solve(bfd, 1, tol, seed).eigenvalues[0])
-    line_threshold = -alpha ** 2 / 4.0
+    line_threshold = closedform.spectral_bottom("half_plane", "delta",
+                                                "dirichlet", alpha, 4.0 / alpha)
     rep.quantities.update({"lambda1_delta": lam_d, "lambda1_delta_prime": lam_b,
                            "line_threshold": line_threshold,
                            "binding_margin": line_threshold - lam_d})

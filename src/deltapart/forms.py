@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .geometry import FINITE, POSITIVE, InteractionData, PhaseAssignment, check
-from .mesh import Mesh, _whole_box, midpoint_parents, triangulate
+from .mesh import Mesh, _turned, _whole_box, midpoint_parents, triangulate
 
 __all__ = [
     "DiscreteForm",
@@ -291,10 +291,11 @@ def coarse_form(df: DiscreteForm):
     takes the mean of its `mesh.midpoint_parents`, per subdomain on broken
     dofs); coarse dofs removed by the Dirichlet condition contribute 0.  By
     Galerkin nesting the coarse eigenvalues bound the fine ones from above.
-    Two levels, not one or three, gave the fastest warm-started solves."""
-    if df.interaction is None or df.mesh.partition is None:
-        raise ValueError("coarse forms need an assembled delta or delta' form "
-                         "on a triangulated mesh")
+    Two levels, not one or three, gave the fastest warm-started solves.
+    None for a Robin form, one on a hand-built mesh or one below level 2."""
+    if (df.interaction is None or df.mesh.partition is None
+            or df.mesh.refinement_level < 2):
+        return None
     P = None
     for coarser in (1, 2):
         m = triangulate(df.mesh.partition, df.mesh.refinement_level - coarser)
@@ -380,10 +381,7 @@ def sample_test_function(m: Mesh, dof_node: np.ndarray,
     angle = float(check(angle, FINITE, "angle"))
     if center - 2.0 * n < 0.0 or center + 2.0 * n > R:
         raise ValueError("cutoff support exceeds the interface ray")
-    ct, st = np.cos(angle), np.sin(angle)
-    nx = m.nodes[dof_node]
-    xr = nx[:, 0] * ct + nx[:, 1] * st
-    yr = -nx[:, 0] * st + nx[:, 1] * ct
+    xr, yr = _turned(m.nodes[dof_node], angle)
     sx = np.abs(xr - center) / n
     sy = np.abs(yr) / n
     on = np.flatnonzero((sx < 2.0) & (sy < 2.0))

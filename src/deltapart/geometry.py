@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -58,7 +59,7 @@ class Partition:
     vertices: np.ndarray                  # (nv, 2) float
     subdomains: Tuple[Subdomain, ...]
     interfaces: Tuple[Interface, ...]
-    symmetry_axis: float | None = None    # vertical line x = value, if guaranteed
+    mirrored: bool = False    # symmetric about x = 0 by construction
 
     def subdomain_ids(self) -> Tuple[int, ...]:
         return tuple(s.id for s in self.subdomains)
@@ -417,8 +418,9 @@ def _grid_chi4(R: float) -> _Cells:
 # ---------------------------------------------------------------------------
 
 def _finite(v) -> bool:
+    # compared, not converted: an int beyond the largest float is not finite
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def number(ok, what: str):
@@ -506,7 +508,7 @@ def build_canonical_partition(name: str, params: dict | None = None) -> Partitio
         raise ValueError(f"unknown parameters {sorted(params)} for geometry {name!r}")
     v = pool.array()
     p = Partition(R, v, subs, _derive_interfaces(v, subs),
-                  symmetry_axis=0.0 if name == "wedge" else None)
+                  mirrored=name == "wedge")
     validate_partition(p)
     return p
 
@@ -577,8 +579,7 @@ def _try_colour(n: int, adj: List[set], m: int) -> List[int] | None:
 
 def edge_constant(chi: int) -> float:
     """Largest squared gap between adjacent unit phases, 4*sin^2(pi/chi)."""
-    if chi < 2:
-        raise ValueError(f"edge constant needs chi >= 2, got {chi}")
+    check(chi, whole(2), "chi")
     s = math.sin(math.pi / chi)
     return 4.0 * s * s
 

@@ -28,7 +28,6 @@ class Mesh:
     outer_boundary_nodes: np.ndarray  # sorted node indices on the box boundary
     refinement_level: int
     box_radius: float
-    symmetry_axis: float | None = None
     # (angle, (x0, x1, y0, y1)) of `triangulate`'s window, or None for a
     # mesh of the whole box
     window: tuple | None = None
@@ -134,11 +133,9 @@ def _coarse_mesh(p: Partition):
     tol = 1e-12 * max(p.box_radius, 1.0)
     for sub in p.subdomains:
         for loop in sub.loops:
-            if p.symmetry_axis is None:
+            if not p.mirrored:
                 cell_tris = _ear_clip(pool.coords, loop)
             else:
-                if abs(p.symmetry_axis) > tol:
-                    raise ValueError("only the axis x = 0 is supported")
                 coords = [pool.coords[i] for i in loop]
                 right = _clip_right_of_axis(coords, tol)
                 if right is None:
@@ -222,16 +219,20 @@ def midpoint_parents(m: Mesh) -> np.ndarray:
     return np.stack(np.divmod(uniq, m.n_nodes), axis=1)
 
 
+def _turned(xy, angle):
+    """(xr, yr) = (x cos(angle) + y sin(angle), -x sin(angle) + y cos(angle))
+    of the points xy: the one frame of windows and the wedge test function."""
+    ct, st = np.cos(angle), np.sin(angle)
+    return xy[:, 0] * ct + xy[:, 1] * st, -xy[:, 0] * st + xy[:, 1] * ct
+
+
 def _meets_window(nodes, cells, window, slack):
     """Rows of cells (node indices: a triangle's three or an edge's two)
-    whose bounding box in the turned coordinates xr = x cos(angle) +
-    y sin(angle), yr = -x sin(angle) + y cos(angle) meets the window's
+    whose bounding box in the `_turned` coordinates meets the window's
     rectangle widened by slack: for each side of the rectangle, some node
     lies on its inner side."""
     angle, (x0, x1, y0, y1) = window
-    ct, st = np.cos(angle), np.sin(angle)
-    xr = nodes[:, 0] * ct + nodes[:, 1] * st
-    yr = -nodes[:, 0] * st + nodes[:, 1] * ct
+    xr, yr = _turned(nodes, angle)
     meets = np.ones(cells.shape[0], dtype=bool)
     for inner in (xr >= x0 - slack, xr <= x1 + slack,
                   yr >= y0 - slack, yr <= y1 + slack):
@@ -268,10 +269,9 @@ def _whole_box(m: Mesh, what: str) -> None:
 def triangulate(p: Partition, levels: int, window=None) -> Mesh:
     """The coarse mesh of p refined levels times.  With a window
     (angle, (x0, x1, y0, y1)), every level from the coarse mesh on keeps
-    only the triangles whose bounding box in the turned coordinates
-    xr = x cos(angle) + y sin(angle), yr = -x sin(angle) + y cos(angle)
-    meets the rectangle x0 <= xr <= x1, y0 <= yr <= y1, widened by
-    1e-9 max(R, 1).
+    only the triangles whose bounding box in the `_turned` coordinates
+    (xr, yr) meets the rectangle x0 <= xr <= x1, y0 <= yr <= y1, widened
+    by 1e-9 max(R, 1).
     A child lies inside its parent, so the kept triangles are the rows of
     the whole-box mesh that meet the rectangle, in the same order and with
     the same coordinates; likewise the interface edges whose two nodes
@@ -303,7 +303,7 @@ def triangulate(p: Partition, levels: int, window=None) -> Mesh:
     on_box = (np.abs(np.abs(nodes[:, 0]) - R) < tol) | (np.abs(np.abs(nodes[:, 1]) - R) < tol)
     outer = np.flatnonzero(on_box).astype(np.int64)
     m = Mesh(nodes, triangles, tri_subdomain, *iface, outer, levels, R,
-             p.symmetry_axis, window, p)
+             window, p)
     _check_mesh(p, m)
     return m
 
@@ -350,21 +350,20 @@ def _check_mesh(p: Partition, m: Mesh) -> None:
 # reflection utilities
 # ---------------------------------------------------------------------------
 
-def mirror_permutation(m: Mesh, axis: float) -> np.ndarray:
-    """perm[i] is the node at the exact mirror image of node i."""
+def mirror_permutation(m: Mesh) -> np.ndarray:
+    """perm[i] is the node at the exact mirror image (-x, y) of node i."""
     _whole_box(m, "mirror_permutation")
     x, y = m.nodes[:, 0], m.nodes[:, 1]
-    mx = 2.0 * axis - x
-    a, b = np.lexsort((y, x)), np.lexsort((y, mx))
-    if not (np.array_equal(x[a], mx[b]) and np.array_equal(y[a], y[b])):
-        raise ValueError("mesh is not reflection-symmetric about the axis")
+    a, b = np.lexsort((y, x)), np.lexsort((y, -x))
+    if not (np.array_equal(x[a], -x[b]) and np.array_equal(y[a], y[b])):
+        raise ValueError("mesh is not reflection-symmetric about x = 0")
     perm = np.empty(m.n_nodes, dtype=np.int64)
     perm[b] = a
     return perm
 
 
-def reflect_split(m: Mesh, axis: float, f: np.ndarray):
-    """Even/odd split of a nodal vector across the vertical line x = axis.
+def reflect_split(m: Mesh, f: np.ndarray):
+    """Even/odd split of a nodal vector across the vertical line x = 0.
 
     The parts are the exact symmetric/antisymmetric projections, so the odd
     part vanishes exactly on axis nodes and the two parts are mass- and
@@ -372,7 +371,7 @@ def reflect_split(m: Mesh, axis: float, f: np.ndarray):
     whenever the halved pair sums are representable (one spare mantissa bit
     suffices); for fully dense mantissas it is exact to one ulp, which is
     the best any fixed splitting can do when |f - f_mirror| > 2|f|."""
-    perm = mirror_permutation(m, axis)
+    perm = mirror_permutation(m)
     f = np.asarray(f, dtype=float)
     even = (f + f[perm]) * 0.5
     odd = (f - f[perm]) * 0.5          # exactly zero on axis fixed points

@@ -91,6 +91,7 @@ def test_closed_form_minimax_json(capsys):
     (["edge-constant", "inf"], "chi"),
     (["wedge-trace", "1", "1", "nan"], "bisector"),
     (["wedge-trace", "1", "4"], "phi"),
+    (["star-delta", "1" + "0" * 400], "alpha"),   # an int beyond any float
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_closed_form_bad_arguments(capsys, params, argument):
     """Each ends in exit 1 naming the argument, not a number or a
@@ -171,12 +172,13 @@ def test_malformed_geometry_params(tmp_path, capsys, name, key, value):
     ("spectrum", "beta.1", {"beta": {"1": math.nan}}),
     ("spectrum", "box_radius", {"box_radius": math.inf}),
     ("verify", "experiment.alpha", {"experiment": {"alpha": math.nan}}),
+    ("spectrum", "box_radius", {"box_radius": 10 ** 400}),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_non_finite_config_values_rejected(tmp_path, capsys, command, field,
                                            config):
-    """json.loads accepts the NaN and Infinity tokens; each such value ends
-    in exit 1 naming its field, not in a count, a verdict or a solver
-    error."""
+    """json.loads accepts the NaN and Infinity tokens and ints too large
+    for a float; each such value ends in exit 1 naming its field, not in a
+    count, a verdict, a solver error or an OverflowError."""
     f = tmp_path / "cfg.json"
     f.write_text(json.dumps({"geometry": {"name": "half_plane"},
                              "box_radius": 4, "levels": 1, **config}))
@@ -466,7 +468,7 @@ def test_cli_import_leaves_optional_scipy_out():
     assert out.stdout.strip() == "[]"
     out = _fresh_python("-c", "import sys, numpy as np; from deltapart import mesh;"
                         " _, m = mesh.canonical_mesh('wedge', None, 4.0, 2);"
-                        " mesh.reflect_split(m, 0.0, np.ones(m.n_nodes));"
+                        " mesh.reflect_split(m, np.ones(m.n_nodes));"
                         " print('scipy.spatial' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from deltapart import experiments, forms, geometry, mesh
+from deltapart import closedform, experiments, forms, geometry, mesh
 
 
 def test_report_machinery():
@@ -53,6 +53,28 @@ def test_star_bounds_small():
         if "certified" in a.name or "<=" in a.name:
             assert a.passed, a
     assert rep.quantities["bottom_delta"] == pytest.approx(-1.0 / 3.0)
+
+
+def test_checked_bottoms_are_spectral_bottoms():
+    """The half-plane thresholds, the wedge target and the star-bounds
+    delta' bound are `closedform.spectral_bottom`'s values, exactly; at
+    this strength x ** 2 and x * x differ in the last bit."""
+    s = 0.5073711867288875
+    sb = closedform.spectral_bottom
+    for op in ("delta", "delta-prime"):
+        rep = experiments.run_threshold_convergence(
+            operator=op, strength=s, box_radii=(3.0,), levels=2)
+        assert rep.quantities["threshold"] == sb("half_plane", op, "dirichlet",
+                                                 s, s)
+    rep = experiments.run_threshold_convergence(
+        geometry_name="wedge", operator="delta-prime", strength=s,
+        n_list=(1, 2), wedge_box_radius=16.0, wedge_levels=4)
+    assert rep.quantities["target"] == sb("half_plane", "delta-prime",
+                                          "dirichlet", None, s)
+    rep = experiments.run_star_bounds(beta=s, box_radii=(3.0,),
+                                      levels_list=(2,))
+    assert rep.quantities["certified_bottom_delta_prime"] == sb(
+        "star3", "delta-prime", "dirichlet", 1.0, s)
 
 
 def test_threshold_small_delta():

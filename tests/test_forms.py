@@ -820,15 +820,15 @@ def test_coarse_form_is_the_form_two_levels_coarser(operator, bc):
 
 
 def test_coarse_form_needs_an_interaction():
-    _, m, _ = _setup("star3", 2)
+    p, m, d = _setup("star3", 2)
     rf = forms.assemble_subdomain_robin(m, int(m.subdomain_ids()[0]), 1.0)
-    with pytest.raises(ValueError, match="delta"):
-        forms.coarse_form(rf)
+    assert forms.coarse_form(rf) is None
     # a hand-built mesh has no partition to triangulate coarser
     square = _square_mesh([1, 2])
     df = forms.assemble_delta(square, geometry.InteractionData({1: 1.0}, {1: 1.0}))
-    with pytest.raises(ValueError, match="triangulated mesh"):
-        forms.coarse_form(df)
+    assert forms.coarse_form(df) is None
+    # level 1 has no level two below it
+    assert forms.coarse_form(forms.assemble_delta(mesh.triangulate(p, 1), d)) is None
 
 
 @st.composite

@@ -163,6 +163,12 @@ def test_colouring_above_clique_number(n, edges, chi):
         assert c.phi[u] != c.phi[v]
 
 
+@pytest.mark.parametrize("chi", [2.5, 1, True])
+def test_edge_constant_checks_chi(chi):
+    with pytest.raises(ValueError, match="chi must be a whole number >= 2"):
+        geometry.edge_constant(chi)
+
+
 def test_edge_constant_values_and_monotonicity():
     assert geometry.edge_constant(2) == pytest.approx(4.0)
     assert geometry.edge_constant(3) == pytest.approx(3.0)

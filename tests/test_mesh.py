@@ -174,24 +174,25 @@ def test_outer_boundary_nodes_on_box():
 
 
 def test_mirror_permutation_is_involution():
-    _, m = _mesh("wedge", 3)
-    assert m.symmetry_axis is not None
-    perm = mesh.mirror_permutation(m, m.symmetry_axis)
+    p, m = _mesh("wedge", 3)
+    assert p.mirrored and m.partition is p
+    perm = mesh.mirror_permutation(m)
     assert np.array_equal(perm[perm], np.arange(m.n_nodes))
 
 
 @pytest.mark.parametrize("phi", [2 * math.pi / 3, math.pi / 2 + 1e-9, math.pi])
 def test_mirror_permutation_maps_onto_the_exact_mirror(phi):
-    """perm[i] is the node at exactly (2 axis - x_i, y_i), bit for bit; a
-    mirror axis the mesh is not symmetric about is refused."""
+    """perm[i] is the node at exactly (-x_i, y_i), bit for bit; a mesh
+    that is not mirror-exact is refused."""
     for box_radius in (4.0, 140.0):
         for level in range(4):
             _, m = _mesh("wedge", level, box_radius, phi=phi)
-            perm = mesh.mirror_permutation(m, 0.0)
+            perm = mesh.mirror_permutation(m)
             assert np.array_equal(m.nodes[perm, 0], -m.nodes[:, 0])
             assert np.array_equal(m.nodes[perm, 1], m.nodes[:, 1])
+    _, m = _mesh("island", 2)
     with pytest.raises(ValueError, match="not reflection-symmetric"):
-        mesh.mirror_permutation(m, 1e-12)
+        mesh.mirror_permutation(m)
 
 
 def test_reflect_split_recombination_and_axis_zero():
@@ -199,21 +200,21 @@ def test_reflect_split_recombination_and_axis_zero():
     rng = np.random.default_rng(5)
     # one spare mantissa bit makes the halved pair sums exact
     f = rng.standard_normal(m.n_nodes).astype(np.float32).astype(float)
-    even, odd = mesh.reflect_split(m, m.symmetry_axis, f)
+    even, odd = mesh.reflect_split(m, f)
     assert np.array_equal(even + odd, f)          # bit-for-bit recombination
-    on_axis = np.abs(m.nodes[:, 0] - m.symmetry_axis) <= 1e-12
+    on_axis = np.abs(m.nodes[:, 0]) <= 1e-12
     assert np.all(odd[on_axis] == 0.0)
     # dense mantissas: recombination still within one ulp per component
     g = rng.standard_normal(m.n_nodes)
-    ge, go = mesh.reflect_split(m, m.symmetry_axis, g)
+    ge, go = mesh.reflect_split(m, g)
     assert np.max(np.abs(ge + go - g)) <= np.max(np.spacing(np.abs(g)))
     # symmetric input has no odd part, antisymmetric no even part
-    perm = mesh.mirror_permutation(m, m.symmetry_axis)
+    perm = mesh.mirror_permutation(m)
     sym = f + f[perm]
-    e2, o2 = mesh.reflect_split(m, m.symmetry_axis, sym)
+    e2, o2 = mesh.reflect_split(m, sym)
     assert np.max(np.abs(o2)) == 0.0
     anti = f - f[perm]
-    e3, o3 = mesh.reflect_split(m, m.symmetry_axis, anti)
+    e3, o3 = mesh.reflect_split(m, anti)
     assert np.max(np.abs(e3)) == 0.0
 
 
@@ -223,7 +224,7 @@ def test_reflect_split_orthogonality():
     df = forms.assemble_delta(m, d, "neumann")   # keeps every node as a dof
     rng = np.random.default_rng(11)
     f = rng.standard_normal(m.n_nodes)
-    even, odd = mesh.reflect_split(m, m.symmetry_axis, f)
+    even, odd = mesh.reflect_split(m, f)
     scale = float(f @ (df.M @ f))
     assert abs(even @ (df.M @ odd)) <= 1e-12 * scale
     stiff_scale = float(f @ (df.A @ f)) + scale
@@ -231,10 +232,10 @@ def test_reflect_split_orthogonality():
 
 
 def test_reflect_split_requires_symmetry():
-    _, m = _mesh("wedge", 2)
+    # an island mesh is not mirror-exact (star3's happens to be)
+    _, m = _mesh("island", 2)
     with pytest.raises(ValueError):
-        mesh.reflect_split(m, m.symmetry_axis + 0.37,
-                           np.zeros(m.n_nodes))
+        mesh.reflect_split(m, np.zeros(m.n_nodes))
 
 
 def test_export_mesh_format():
@@ -386,7 +387,7 @@ def _windowed_wedge():
         m, geometry.InteractionData.uniform(p, 1.0, 2.0), "neumann"),
     lambda p, m: forms.assemble_subdomain_robin(m, 1, 1.0),
     lambda p, m: mesh.export_mesh(m),
-    lambda p, m: mesh.mirror_permutation(m, 0.0),
+    lambda p, m: mesh.mirror_permutation(m),
 ], ids=["assemble_delta", "assemble_delta_prime", "assemble_subdomain_robin",
         "export_mesh", "mirror_permutation"])
 def test_windowed_mesh_is_refused(call):
