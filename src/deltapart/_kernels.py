@@ -1,5 +1,5 @@
-"""Numeric kernels: P1 element matrices and the dense-oracle linear algebra,
-vectorized with numpy."""
+"""Numeric kernels: P1 element matrices and energies and the dense-oracle
+linear algebra, vectorized with numpy."""
 
 from __future__ import annotations
 
@@ -12,8 +12,18 @@ USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# P1 element matrices
+# P1 element matrices and energies
 # ---------------------------------------------------------------------------
+
+def _p1_geometry(nodes: np.ndarray, tris: np.ndarray):
+    """(b, c, area): 2A times the hat gradients' x and y parts, and A."""
+    x = nodes[:, 0][tris]                 # (m, 3), one gather per coordinate
+    y = nodes[:, 1][tris]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return b, c, area
+
 
 def p1_elements(nodes: np.ndarray, tris: np.ndarray):
     """Stiffness and consistent mass entries for every triangle.
@@ -21,17 +31,31 @@ def p1_elements(nodes: np.ndarray, tris: np.ndarray):
     Returns (stiff, mass, area): stiff and mass have shape (ntri, 9) in
     row-major (local i, local j) order, area has shape (ntri,).
     """
-    x = nodes[:, 0][tris]                 # (m, 3), one gather per coordinate
-    y = nodes[:, 1][tris]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    b, c, area = _p1_geometry(nodes, tris)
     inv4a = 1.0 / (4.0 * area)
     stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
     stiff *= inv4a[:, None, None]
     mref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     mass = area[:, None, None] * mref[None, :, :]
     return stiff.reshape(-1, 9), mass.reshape(-1, 9), area
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def p1_energies(nodes: np.ndarray, tris: np.ndarray, v: np.ndarray):
+    """(sum_t v_t^H S_t v_t, sum_t v_t^H M_t v_t) for the element matrices
+    of `p1_elements` and v of shape (ntri, 3), real or complex, from gradients
+    and areas: v^H S v = (|b.v|^2 + |c.v|^2) / 4A, v^H M v = A/12 (|v|^2 +
+    |sum v|^2)."""
+    b, c, area = _p1_geometry(nodes, tris)
+    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
+    bv = b[:, 0] * v0 + b[:, 1] * v1 + b[:, 2] * v2
+    cv = c[:, 0] * v0 + c[:, 1] * v1 + c[:, 2] * v2
+    stiff = (_abs2(bv) + _abs2(cv)) / (4.0 * area)
+    mass = area * (_abs2(v0) + _abs2(v1) + _abs2(v2) + _abs2(v0 + v1 + v2))
+    return float(stiff.sum()), float(mass.sum()) / 12.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Union
 
 from . import closedform, eigen, experiments, forms, geometry, mesh
-from .geometry import BOOL, FINITE, OPENING, POSITIVE, _param, array_of, whole
+from .geometry import BOOL, CHI, FINITE, OPENING, POSITIVE, _param, array_of, whole
 
 __all__ = ["Config", "SolverConfig", "ConfigError", "parse_config",
            "main", "entry"]
@@ -288,7 +288,7 @@ def _closed_form_payload(name: str, params) -> Dict:
         v = closedform.star_delta_bottom(float(a))
         return {"values": [v], "bottom": v}
     if name == "edge-constant":
-        (chi,) = need(chi=whole(2))
+        (chi,) = need(chi=CHI)
         v = geometry.edge_constant(chi)
         return {"values": [v], "edge_constant": v}
     if name == "interval":

@@ -257,9 +257,10 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     vectors builds them once.  Broken dofs are looked up only for the
     triangles with a vertex that carries a nonzero entry in some subdomain;
     of those, the triangles with a nonzero entry among their own dofs are
-    kept, in ascending order.  The candidates are taken _BLOCK at a time,
-    so the dof gather and the element matrices never hold more than one
-    block."""
+    kept, in ascending order, and their energies summed from gradients and
+    areas (`_kernels.p1_energies`), with no element matrices.  The
+    candidates are taken _BLOCK at a time, so the dof gather never holds
+    more than one block."""
     nz = np.abs(f) > 0.0
     marked = ((table >= 0) & nz[table]).any(axis=0)
     tris = m.triangles
@@ -270,12 +271,8 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
         c = cand[b:b + _BLOCK]
         tri_dofs = table[m.tri_subdomain[c, None], tris[c]]
         active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
-        stiff, mass, _ = _kernels.p1_elements(nodes, tris[c[active]])
-        v = f[tri_dofs[active]]                          # (na, 3) possibly complex
-        S = np.asarray(stiff).reshape(-1, 3, 3)
-        Mm = np.asarray(mass).reshape(-1, 3, 3)
-        num += float(np.real(np.einsum("ti,tij,tj->", np.conj(v), S, v)))
-        den += float(np.real(np.einsum("ti,tij,tj->", np.conj(v), Mm, v)))
+        s, mm = _kernels.p1_energies(nodes, tris[c[active]], f[tri_dofs[active]])
+        num, den = num + s, den + mm
     jd, jl = jump
     vj = f[jd]
     num += float(np.real(np.einsum("qi,qij,qj->", np.conj(vj), jl, vj)))

@@ -440,6 +440,10 @@ def whole(least: int):
             f"a whole number >= {least}")
 
 
+CHI = (lambda v: whole(2)[0](v) and _finite(v),      # pi / chi needs a float
+       "a whole number >= 2, no larger than the largest float")
+
+
 def array_of(kind):
     ok, what = kind
     return (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
@@ -579,7 +583,7 @@ def _try_colour(n: int, adj: List[set], m: int) -> List[int] | None:
 
 def edge_constant(chi: int) -> float:
     """Largest squared gap between adjacent unit phases, 4*sin^2(pi/chi)."""
-    check(chi, whole(2), "chi")
+    check(chi, CHI, "chi")
     s = math.sin(math.pi / chi)
     return 4.0 * s * s
 

@@ -92,6 +92,7 @@ def test_closed_form_minimax_json(capsys):
     (["wedge-trace", "1", "1", "nan"], "bisector"),
     (["wedge-trace", "1", "4"], "phi"),
     (["star-delta", "1" + "0" * 400], "alpha"),   # an int beyond any float
+    (["edge-constant", "1" + "0" * 400], "chi"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_closed_form_bad_arguments(capsys, params, argument):
     """Each ends in exit 1 naming the argument, not a number or a

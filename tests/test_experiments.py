@@ -96,8 +96,8 @@ def test_threshold_wedge_quotients_decreasing():
 
 
 @pytest.mark.parametrize("levels,pinned", [
-    (6, ["-0x1.8570dc4fffc84p-1", "-0x1.8fa769c2c827fp-1", "-0x1.9248bdbfd6e7dp-1"]),
-    (9, ["-0x1.f61ba4d32976bp-1", "-0x1.fb81804a57e37p-1", "-0x1.fcdb0e3b5b51bp-1"]),
+    (6, ["-0x1.8570dc4fffcddp-1", "-0x1.8fa769c2c82e3p-1", "-0x1.9248bdbfd6eb5p-1"]),
+    (9, ["-0x1.f61ba4d3296e8p-1", "-0x1.fb81804a57df2p-1", "-0x1.fcdb0e3b5b4e8p-1"]),
 ], ids=["L6", "L9"])
 def test_threshold_wedge_quotients_are_pinned(levels, pinned):
     """The three wedge quotients at R = 140, bit for bit (float.hex), at L6

@@ -169,6 +169,12 @@ def test_edge_constant_checks_chi(chi):
         geometry.edge_constant(chi)
 
 
+def test_edge_constant_refuses_chi_beyond_any_float():
+    with pytest.raises(ValueError, match="chi must be a whole number >= 2, no "
+                       "larger than the largest float"):
+        geometry.edge_constant(10 ** 400)
+
+
 def test_edge_constant_values_and_monotonicity():
     assert geometry.edge_constant(2) == pytest.approx(4.0)
     assert geometry.edge_constant(3) == pytest.approx(3.0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import deltapart._kernels as kernels
 
@@ -17,6 +19,46 @@ def test_p1_elements_reference_values():
     assert np.allclose(mass[0], m_ref, rtol=0, atol=1e-16)
     k_ref = 0.5 * np.array([2, -1, -1, -1, 1, 0, -1, 0, 1], dtype=float)
     assert np.allclose(stiff[0], k_ref, rtol=0, atol=1e-15)
+
+
+def test_p1_energies_reference_values():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2]], dtype=np.int64)
+    assert kernels.p1_energies(pts, tris, np.array([[1.0, 0.0, 0.0]])) \
+        == pytest.approx((1.0, 1.0 / 12.0), rel=1e-15)
+    # a constant has no energy and mass = area
+    assert kernels.p1_energies(pts, tris, np.array([[1.0, 1.0, 1.0]])) \
+        == pytest.approx((0.0, 0.5), rel=1e-15, abs=1e-15)
+
+
+_coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(*[_coord] * 6), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_p1_energies_match_element_matrices(corners, seed):
+    """On random counterclockwise triangles, not near degenerate, and random
+    complex v, the energies from gradients and areas equal the sums of
+    conj(v)^T S v and conj(v)^T M v over the element matrices of p1_elements."""
+    pts = np.array(corners).reshape(-1, 2)
+    tris = np.arange(pts.shape[0]).reshape(-1, 3)
+    x, y = pts[tris, 0], pts[tris, 1]
+    twice_area = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) \
+        - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    longest = ((x - np.roll(x, 1, axis=1)) ** 2
+               + (y - np.roll(y, 1, axis=1)) ** 2).max(axis=1)
+    assume(np.all(np.abs(twice_area) > 1e-3 * longest))
+    tris[twice_area < 0] = tris[twice_area < 0][:, [0, 2, 1]]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(tris.shape) + 1j * rng.standard_normal(tris.shape)
+    stiff, mass, _ = kernels.p1_elements(pts, tris)
+    S, M = stiff.reshape(-1, 3, 3), mass.reshape(-1, 3, 3)
+    s, m = kernels.p1_energies(pts, tris, v)
+    assert s == pytest.approx(np.real(np.einsum("ti,tij,tj->", np.conj(v), S, v)),
+                              rel=1e-12)
+    assert m == pytest.approx(np.real(np.einsum("ti,tij,tj->", np.conj(v), M, v)),
+                              rel=1e-12)
 
 
 def test_linear_algebra_kernels_against_lapack():
