@@ -4,6 +4,7 @@ assertions carry explicit tolerances and margins."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -207,7 +208,7 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
                         f"({len(box_radii)})"),
           "levels_list")
     bottom_delta = closedform.star_delta_bottom(alpha)
-    mm = closedform.minimax_star()
+    c_star_derived = math.sqrt(3.0 * closedform.STAR_MINIMAX)
     certified_dp = closedform.spectral_bottom("star3", "delta-prime",
                                               "dirichlet", alpha, beta)
     printed_dp = -closedform.PRINTED_MINIMAX_VALUE / beta ** 2
@@ -232,8 +233,8 @@ def run_star_bounds(alpha: float = 1.0, beta: float = 1.0,
         "lambda1_delta": lams_d, "lambda1_delta_prime": lams_b,
         "gaps_delta": gaps,
         "delta_prime_above_printed_bound": [lam >= printed_dp for lam in lams_b],
-        "beta_exceeds_c_star_derived_over_alpha": beta > mm.c_star_derived / alpha,
-        "beta_exceeds_c_star_printed_over_alpha": beta > mm.paper_printed_c_star / alpha,
+        "beta_exceeds_c_star_derived_over_alpha": beta > c_star_derived / alpha,
+        "beta_exceeds_c_star_printed_over_alpha": beta > closedform.PRINTED_C_STAR / alpha,
     })
     for i in range(1, len(gaps)):
         rep.check_le(f"gap monotone: step {i}", gaps[i], gaps[i - 1], 1e-9)

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .geometry import FINITE, POSITIVE, InteractionData, PhaseAssignment, check
-from .mesh import Mesh, _turned, _whole_box, midpoint_parents, triangulate
+from .mesh import _CHILDREN, _CORNERS, Mesh, _turned, _whole_box, triangulate
 
 __all__ = [
     "DiscreteForm",
@@ -287,27 +287,30 @@ def coarse_form(df: DiscreteForm):
     policy, and the prolongation P (sparse, df.n_dofs x coarse n_dofs) of
     its reduced dofs onto df's.
 
-    P interpolates the coarse P1 function at the fine nodes (a midpoint
-    takes the mean of its `mesh.midpoint_parents`, per subdomain on broken
-    dofs); coarse dofs removed by the Dirichlet condition contribute 0.  By
-    Galerkin nesting the coarse eigenvalues bound the fine ones from above.
+    P interpolates the coarse P1 function at the fine nodes, per subdomain
+    on broken dofs; coarse dofs removed by the Dirichlet condition
+    contribute 0.  Fine triangle r lies in coarse triangle r // 16, and a
+    fine node takes the weights of one triangle r that holds it, the
+    `mesh._CHILDREN` pattern applied twice at r % 16: exact dyadics, so the
+    same whichever r.  By Galerkin nesting the coarse eigenvalues bound the
+    fine ones from above.
     Two levels, not one or three, gave the fastest warm-started solves.
     None for a Robin form, one on a hand-built mesh or one below level 2."""
     if (df.interaction is None or df.mesh.partition is None
             or df.mesh.refinement_level < 2):
         return None
-    P = None
-    for coarser in (1, 2):
-        m = triangulate(df.mesh.partition, df.mesh.refinement_level - coarser)
-        parents = midpoint_parents(m)
-        n = m.n_nodes
-        mids = np.arange(n, n + parents.shape[0])
-        step = sp.csr_matrix(
-            (np.concatenate([np.ones(n), np.full(2 * mids.size, 0.5)]),
-             (np.concatenate([np.arange(n), np.repeat(mids, 2)]),
-              np.concatenate([np.arange(n), parents.ravel()]))),
-            shape=(n + mids.size, n))
-        P = step if P is None else P @ step
+    m = triangulate(df.mesh.partition, df.mesh.refinement_level - 2)
+    # row 3 (4i + j) + k: corner k of child j of child i, on the coarse
+    # triangle's corners; 48 rows, one per corner of its 16 descendants
+    child = _CORNERS[_CHILDREN]
+    weights = np.einsum("jkl,ilm->ijkm", child, child).reshape(48, 3)
+    fine = df.mesh.triangles.ravel()
+    holder = np.empty(df.mesh.n_nodes, dtype=np.int64)
+    holder[fine] = np.arange(fine.size)     # one flat index 3 r + k per node
+    w = weights[holder % 48]
+    row, col = np.nonzero(w)
+    P = sp.csr_matrix((w[row, col], (row, m.triangles[holder[row] // 48, col])),
+                      shape=(df.mesh.n_nodes, m.n_nodes))
     assembler = assemble_delta if df.space == "continuous" else assemble_delta_prime
     cf = assembler(m, df.interaction, df.bc)
     # nodal weights per fine dof, kept on the coarse dofs of the same node

@@ -12,8 +12,8 @@ import numpy as np
 from . import geometry
 from .geometry import Partition, _VertexPool, _cross2, _loop_area
 
-__all__ = ["Mesh", "triangulate", "midpoint_parents", "canonical_mesh",
-           "reflect_split", "export_mesh"]
+__all__ = ["Mesh", "triangulate", "canonical_mesh", "reflect_split",
+           "export_mesh"]
 
 
 @dataclass(frozen=True)
@@ -184,39 +184,32 @@ def _derive_interface_edges(p: Partition, nodes, triangles, tri_subdomain):
 # uniform refinement
 # ---------------------------------------------------------------------------
 
-def _side_codes(n: int, triangles):
-    """Codes min(u, v) n + max(u, v) of the triangles' ab, then bc, then ca
-    sides (u, v); a refinement numbers its midpoints in sorted code order."""
-    a, b, c = triangles.T
-    u, v = np.concatenate([a, b, c]), np.concatenate([b, c, a])
-    return np.minimum(u, v) * n + np.maximum(u, v)
+# The 4-way refinement's child pattern: the six corners a, b, c, mab, mbc,
+# mca of a parent (a, b, c) as barycentric weights of a, b, c, and the
+# four children's corners as rows of that list.
+_CORNERS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                     [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
 def _refine_once(nodes, triangles, tri_subdomain, iface_nodes):
     """One uniform 4-way refinement: midpoints follow the nodes in sorted
-    side-code order, the children of triangle t are rows 4t..4t+3,
-    (a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca), and
-    interface edge q splits into rows 2q (a, mid) and 2q+1 (mid, b)."""
+    code order, min(u, v) n + max(u, v) for each side (u, v), and the
+    children of triangle t are rows 4t..4t+3, the `_CHILDREN` of
+    (a, b, c, mab, mbc, mca); interface edge q splits into rows 2q
+    (a, mid) and 2q+1 (mid, b)."""
     n, m = nodes.shape[0], triangles.shape[0]
     a, b, c = triangles.T
-    uniq, inv = np.unique(_side_codes(n, triangles), return_inverse=True)
+    u, v = np.concatenate([a, b, c]), np.concatenate([b, c, a])
+    uniq, inv = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                          return_inverse=True)
     new_nodes = np.vstack([nodes, 0.5 * (nodes[uniq // n] + nodes[uniq % n])])
-    mab, mbc, mca = (n + inv).reshape(3, m)
-    children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
-                        axis=1).reshape(-1, 3)
+    corners = (a, b, c, *(n + inv).reshape(3, m))
+    children = np.stack([corners[i] for i in _CHILDREN.flat], axis=1).reshape(-1, 3)
     ia, ib = iface_nodes.T
     imid = n + np.searchsorted(uniq, np.minimum(ia, ib) * n + np.maximum(ia, ib))
     new_iface = np.stack([ia, imid, imid, ib], axis=1).reshape(-1, 2)
     return new_nodes, children, np.repeat(tri_subdomain, 4), new_iface
-
-
-def midpoint_parents(m: Mesh) -> np.ndarray:
-    """Sorted node pairs of m's triangle sides, in the order in which the
-    mesh one level finer numbers their midpoints after m's nodes."""
-    # sort, then drop repeats: np.unique of the codes alone was 8x slower
-    codes = np.sort(_side_codes(m.n_nodes, m.triangles))
-    uniq = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
-    return np.stack(np.divmod(uniq, m.n_nodes), axis=1)
 
 
 def _turned(xy, angle):

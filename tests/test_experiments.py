@@ -55,6 +55,20 @@ def test_star_bounds_small():
     assert rep.quantities["bottom_delta"] == pytest.approx(-1.0 / 3.0)
 
 
+def test_star_bounds_reads_the_closed_form_constants(monkeypatch):
+    """The run compares beta with C* = sqrt(3 STAR_MINIMAX) and the printed
+    constant without running `minimax_star`'s grid oracle; beta = 3.8 lies
+    between the printed 3.62 and the derived 3.95."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid oracle ran")
+
+    monkeypatch.setattr(closedform, "_grid_oracle", refuse)
+    rep = experiments.run_star_bounds(beta=3.8, box_radii=(3.0,),
+                                      levels_list=(2,))
+    assert rep.quantities["beta_exceeds_c_star_printed_over_alpha"] is True
+    assert rep.quantities["beta_exceeds_c_star_derived_over_alpha"] is False
+
+
 def test_checked_bottoms_are_spectral_bottoms():
     """The half-plane thresholds, the wedge target and the star-bounds
     delta' bound are `closedform.spectral_bottom`'s values, exactly; at

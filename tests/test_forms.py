@@ -764,7 +764,8 @@ def _coarse_pair(name, params, operator, bc):
 
 @pytest.mark.parametrize("operator", ["delta", "delta-prime"])
 @pytest.mark.parametrize("name,params", [("star3", {}),
-                                         ("grid", {"variant": "chi4"})])
+                                         ("grid", {"variant": "chi4"}),
+                                         ("wedge", {}), ("island", {})])
 def test_prolongation_reproduces_linear_functions(name, params, operator):
     """Neumann: P maps a function linear on each subdomain (a different one
     per subdomain on broken dofs) at the coarse dofs to the same function
@@ -817,6 +818,21 @@ def test_coarse_form_is_the_form_two_levels_coarser(operator, bc):
     for field in ("dof_node", "dof_subdomain", "full_to_red"):
         assert np.array_equal(getattr(coarse, field), getattr(want, field))
     assert coarse.mesh.refinement_level == m.refinement_level - 2
+
+
+def test_coarse_form_triangulates_once(monkeypatch):
+    """The coarse mesh is triangulated once; the prolongation comes from
+    the refinement's row numbering, not from a mesh of each level between."""
+    _, m, d = _setup("star3", 3)
+    levels = []
+
+    def counted(p, n, window=None):
+        levels.append(n)
+        return mesh.triangulate(p, n, window)
+
+    monkeypatch.setattr(forms, "triangulate", counted)
+    coarse, _ = forms.coarse_form(forms.assemble_delta(m, d))
+    assert levels == [1] and coarse.mesh.refinement_level == 1
 
 
 def test_coarse_form_needs_an_interaction():

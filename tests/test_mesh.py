@@ -254,21 +254,27 @@ def test_export_mesh_format():
 @pytest.mark.parametrize("name,params",
                          [(n, {}) for n in geometry.CANONICAL_NAMES]
                          + [("grid", {"variant": "chi4"})])
-def test_midpoint_parents_number_the_finer_nodes(name, params):
-    """The midpoints of midpoint_parents(level L-1) are, in order and bit
-    for bit, the nodes that triangulate(p, L) numbers after L-1's."""
+def test_child_rows_follow_the_refinement_table(name, params):
+    """Triangle 4t + i of level L has the corners `_CHILDREN[i]` of the
+    `_CORNERS` of triangle t of level L-1, bit for bit, and triangle
+    16t + 4i + j the corners of child j of child i of triangle t of level
+    L-2, to rounding; level L numbers L-1's nodes first, bit for bit."""
     p = geometry.build_canonical_partition(name, dict(params, box_radius=4.0))
+    meshes = [mesh.triangulate(p, levels) for levels in range(4)]
+    child = mesh._CORNERS[mesh._CHILDREN]       # (child, corner, parent corner)
     for levels in (1, 2, 3):
-        coarse = mesh.triangulate(p, levels - 1)
-        fine = mesh.triangulate(p, levels)
-        parents = mesh.midpoint_parents(coarse)
-        assert parents.dtype == np.int64
-        assert parents.shape == (fine.n_nodes - coarse.n_nodes, 2)
-        assert np.all(parents[:, 0] < parents[:, 1])
-        assert np.array_equal(fine.nodes[:coarse.n_nodes], coarse.nodes)
-        mids = 0.5 * (coarse.nodes[parents[:, 0]] + coarse.nodes[parents[:, 1]])
-        assert np.array_equal(mids, fine.nodes[coarse.n_nodes:])
+        fine, coarse = meshes[levels], meshes[levels - 1]
         assert fine.partition is p
+        assert np.array_equal(fine.nodes[:coarse.n_nodes], coarse.nodes)
+        got = fine.nodes[fine.triangles]
+        want = np.einsum("ikl,tlx->tikx", child, coarse.nodes[coarse.triangles])
+        assert np.array_equal(got, want.reshape(got.shape))
+        if levels >= 2:
+            grand = meshes[levels - 2]
+            want = np.einsum("jkl,ilm,tmx->tijkx", child, child,
+                             grand.nodes[grand.triangles])
+            assert np.max(np.abs(got - want.reshape(got.shape))) <= \
+                1e-15 * np.max(np.abs(fine.nodes))
 
 
 def test_export_mesh_matches_per_entry_format():
@@ -289,8 +295,9 @@ def test_export_mesh_matches_per_entry_format():
 def _refine_reference(nodes, triangles, tri_subdomain, iface_nodes):
     """Per-triangle uniform refinement: midpoints numbered after the nodes
     by sorted edge (a < b, i.e. by code a * n + b), children of triangle t
-    in rows 4t..4t+3 as the `_refine_once` docstring gives them, interface edge
-    q split into rows 2q (a, mid) and 2q+1 (mid, b)."""
+    in rows 4t..4t+3, (a, mab, mca), (mab, b, mbc), (mca, mbc, c),
+    (mab, mbc, mca), interface edge q split into rows 2q (a, mid) and
+    2q+1 (mid, b)."""
     n = nodes.shape[0]
     edges = sorted({(min(u, v), max(u, v)) for a, b, c in triangles.tolist()
                     for u, v in ((a, b), (b, c), (c, a))})
