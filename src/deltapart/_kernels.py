@@ -175,7 +175,6 @@ def tridiagonalize(a: np.ndarray):
 _MAX_SWEEPS = 100
 _MIN_SECTION = 7
 _STALL = 0.25
-_COUNT_ROWS = 128
 
 
 def _sturm_count(d, e2, xs, m=0):
@@ -192,12 +191,14 @@ def _sturm_count(d, e2, xs, m=0):
     t = +inf and the next pivot -inf, the signs that replacing it by +tiny
     gives.  A zero coupling skips the division (0/0), and d + 0.0 turns a
     -0.0 pivot, whose infinity would have the wrong sign, into +0.0.
+
+    The pivot signs of all n rows are kept in one bool array and counted
+    once.  A sweep has about n points, so the array is about n^2 bytes, an
+    eighth of one n x n float64 matrix of the dense oracle.
     """
     n = d.shape[0]
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    # signs of _COUNT_ROWS rows at a time, so memory does not grow with n
-    neg = np.empty((min(n, _COUNT_ROWS),) + xs.shape, dtype=bool)
-    count = np.zeros(xs.shape, dtype=np.intp)
+    neg = np.empty((n,) + xs.shape, dtype=bool)
     q = np.subtract(d[0] + 0.0, xs)
     t = np.empty_like(q)
     np.less(q, 0.0, out=neg[0])
@@ -206,23 +207,20 @@ def _sturm_count(d, e2, xs, m=0):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = np.divide(-1.0, qm)
         s = u.copy()
-        for i0 in range(0, n, neg.shape[0]):
-            rows = neg[:n - i0]
-            for i in range(max(i0, 1), i0 + rows.shape[0]):
-                if e2l[i - 1]:
-                    np.divide(e2l[i - 1], q, out=t)
-                    np.subtract(dl[i], xs, out=q)
-                    q -= t
-                    u *= tm
-                    u -= 1.0
-                    u /= qm
-                else:
-                    np.subtract(dl[i], xs, out=q)
-                    np.divide(-1.0, qm, out=u)
-                np.less(q, 0.0, out=rows[i - i0])
-                s += u
-            count += np.count_nonzero(rows, axis=0)
-    return count, s
+        for i in range(1, n):
+            if e2l[i - 1]:
+                np.divide(e2l[i - 1], q, out=t)
+                np.subtract(dl[i], xs, out=q)
+                q -= t
+                u *= tm
+                u -= 1.0
+                u /= qm
+            else:
+                np.subtract(dl[i], xs, out=q)
+                np.divide(-1.0, qm, out=u)
+            np.less(q, 0.0, out=neg[i])
+            s += u
+    return np.count_nonzero(neg, axis=0), s
 
 
 def tridiag_eigenvalues(d, e):

@@ -181,9 +181,9 @@ def run_unitary_identity(geometry_name: str = "half_plane",
         u = forms.apply_unitary(ph, bf, forms.embed_continuous(bf, f))
         a_b = forms.form_value(bf, u)
         a_c = forms.form_value(df, f)
-        scale = max(1.0, abs(a_c), float(f @ (df.M @ f)))
-        worst = max(worst, abs(a_b - a_c) / scale)
         mn_c = float(f @ (df.M @ f))
+        scale = max(1.0, abs(a_c), mn_c)
+        worst = max(worst, abs(a_b - a_c) / scale)
         mn_b = float(np.real(np.vdot(u, bf.M @ u)))
         norm_dev = max(norm_dev, abs(mn_b - mn_c) / max(1.0, mn_c))
     rep.quantities.update({"chi": col.chi, "alpha_z": ph.alpha_z,
@@ -256,12 +256,14 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     `forms.broken_dof_layout` and jump the (dofs, local matrices) of
     `forms.jump_coupling`; neither depends on f, so a caller with several
     vectors builds them once.  Broken dofs are looked up only for the
-    triangles with a vertex that carries a nonzero entry in some subdomain;
-    of those, the triangles with a nonzero entry among their own dofs are
-    kept, in ascending order, and their energies summed from gradients and
-    areas (`_kernels.p1_energies`), with no element matrices.  The
-    candidates are taken _BLOCK at a time, so the dof gather never holds
-    more than one block."""
+    triangles with a vertex that carries a nonzero entry in some subdomain,
+    in ascending order, and their energies summed from gradients and areas
+    (`_kernels.p1_energies`), with no element matrices; a triangle with no
+    nonzero entry among its own dofs adds zero.  The candidates are taken
+    _BLOCK at a time, so the dof gather never holds more than one block.
+    The jump term is one vH J v per interface coupling with a nonzero
+    entry, added by `np.sum` (pairwise), so its rounding stays near one
+    ulp of the sum and the zero couplings of a larger mesh change no bit."""
     nz = np.abs(f) > 0.0
     marked = ((table >= 0) & nz[table]).any(axis=0)
     tris = m.triangles
@@ -271,12 +273,13 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     for b in range(0, cand.size, _BLOCK):
         c = cand[b:b + _BLOCK]
         tri_dofs = table[m.tri_subdomain[c, None], tris[c]]
-        active = nz[tri_dofs[:, 0]] | nz[tri_dofs[:, 1]] | nz[tri_dofs[:, 2]]
-        s, mm = _kernels.p1_energies(nodes, tris[c[active]], f[tri_dofs[active]])
+        s, mm = _kernels.p1_energies(nodes, tris[c], f[tri_dofs])
         num, den = num + s, den + mm
     jd, jl = jump
-    vj = f[jd]
-    num += float(np.real(np.einsum("qi,qij,qj->", np.conj(vj), jl, vj)))
+    on = nz[jd].any(axis=1)
+    vj = f[jd[on]]
+    terms = np.einsum("qi,qij,qj->q", np.conj(vj), jl[on], vj)
+    num += float(np.sum(np.real(terms)))
     if den <= 0.0:
         raise ValueError("test function vanishes on the mesh")
     return num / den

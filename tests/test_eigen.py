@@ -40,15 +40,45 @@ def test_dense_path_matches_lapack():
     assert np.allclose(r.eigenvalues, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_result_invariants():
-    df = _form("star3", 3)
-    r = eigen.lowest_eigenpairs(df.A, df.M, 6,
-                                lower_bound=df.coercivity_bound)
+@pytest.mark.parametrize("path", ["dense", "lanczos", "warm"])
+def test_result_invariants(path, solve_starts):
+    """Ascending eigenvalues, residuals within tol and M-orthonormal
+    eigenvectors, as LAPACK and ARPACK return them, on each path: dense
+    (star3 L3, k = 6), a bare-pencil Lanczos solve from the random start
+    (star3 L4, k = 6) and a warm-started k = 10 solve of the Neumann
+    island's delta' form."""
+    if path == "warm":
+        df = _form("island", 3, operator="delta-prime", bc="neumann")
+        r = eigen.lowest_form_eigenpairs(df, 10)
+        assert solve_starts[-1] == (df.n_dofs, True)
+    else:
+        df = _form("star3", 3 if path == "dense" else 4)
+        r = eigen.lowest_eigenpairs(df.A, df.M, 6,
+                                    lower_bound=df.coercivity_bound)
+        assert solve_starts == [(df.n_dofs, False)]
+    assert r.method == ("dense" if path == "dense" else "shift-invert")
+    k = r.eigenvalues.size
+    assert k == (10 if path == "warm" else 6)
     assert np.all(np.diff(r.eigenvalues) >= 0.0)
     assert np.all(r.residuals <= r.tol)
     G = r.eigenvectors.T @ (df.M @ r.eigenvectors)
-    assert np.max(np.abs(G - np.eye(6))) <= 1e-10
+    assert np.max(np.abs(G - np.eye(k))) <= 1e-10
     assert r.converged
+
+
+def test_residuals_match_the_per_pair_formula():
+    """The residuals, columns of R = A V - (M V) diag(vals), against the
+    formula taken one pair at a time; only the order of the norms' sums
+    differs."""
+    df = _form("star3", 4)
+    r = eigen.lowest_eigenpairs(df.A, df.M, 6,
+                                lower_bound=df.coercivity_bound)
+    na = np.abs(df.A).sum(axis=1).max()
+    nm = np.abs(df.M).sum(axis=1).max()
+    ref = [np.linalg.norm(df.A @ v - lam * (df.M @ v))
+           / ((na + abs(lam) * nm) * np.linalg.norm(v))
+           for lam, v in zip(r.eigenvalues, r.eigenvectors.T)]
+    assert np.allclose(r.residuals, ref, rtol=1e-12, atol=0.0)
 
 
 def test_shift_invert_matches_dense():

@@ -197,11 +197,11 @@ def test_sturm_count_against_scalar_loop():
 
 
 def test_sturm_count_across_row_blocks():
-    """Counts and Newton sums over more rows than one block of pivot signs,
-    against the scalar loop and the eigenvalues."""
-    n = 2 * kernels._COUNT_ROWS + 5
+    """Counts and Newton sums of a 261-row matrix split by a zero coupling
+    at row 127, against the scalar loop and the eigenvalues."""
+    n = 261
     d, e = _random_tridiagonal(n, 11)
-    e[kernels._COUNT_ROWS - 1] = 0.0                 # a split at the seam
+    e[127] = 0.0
     e2 = e * e
     xs = np.random.default_rng(12).uniform(-4.0, 4.0, 30)
     cnt, s = kernels._sturm_count(d, e2, xs, 10)
