@@ -283,24 +283,29 @@ def interval_fem_oracle(beta: float, l: float, n_elems: int = 10000) -> float:
     return float(vals[0])
 
 
-def abc_inequality_check(theta, eta, omega: float, t: float):
-    """Cyclic sum of squared norms of theta_i - theta_j + eta_i + eta_j
-    against (4 - omega(1-t)) sum||theta||^2 + (4 + 3 omega/t) sum||eta||^2."""
-    check(omega, _UNIT, "omega")
-    check(t, POSITIVE, "t")
-    th = [np.asarray(v, dtype=float) for v in theta]
-    et = [np.asarray(v, dtype=float) for v in eta]
-    if len(th) != 3 or len(et) != 3:
+def abc_inequality_check(theta, eta, omega, t):
+    """Cyclic sum S of squared norms of theta_i - theta_j + eta_i + eta_j
+    against bound = (4 - omega(1-t)) sum||theta||^2 + (4 + 3 omega/t)
+    sum||eta||^2: (S, bound, S <= bound + 1e-12 max(S, bound, 1)).
+
+    theta and eta are three vectors each, or N stacked draws of shape
+    (N, 3, d) with omega and t of shape (N,); a batch is checked per
+    sample, with the same domain checks and slack, and gives arrays of N."""
+    for v, kind, label in ((omega, _UNIT, "omega"), (t, POSITIVE, "t")):
+        # both kinds are intervals: a batch is in one if its ends are
+        for end in ((v,) if np.ndim(v) == 0 else (np.min(v), np.max(v))):
+            check(end, kind, label)
+    try:
+        th, et = np.asarray(theta, dtype=float), np.asarray(eta, dtype=float)
+    except ValueError:
+        raise ValueError("all six vectors must share one dimension") from None
+    if th.ndim < 2 or th.shape[-2] != 3 or et.ndim < 2 or et.shape[-2] != 3:
         raise ValueError("need exactly three theta and three eta vectors")
-    dim = th[0].shape
-    for v in th + et:
-        if v.shape != dim:
-            raise ValueError("all six vectors must share one dimension")
-    S = 0.0
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = th[i] - th[j] + et[i] + et[j]
-        S += float(d @ d)
-    bound = ((4.0 - omega * (1.0 - t)) * sum(float(v @ v) for v in th)
-             + (4.0 + 3.0 * omega / t) * sum(float(v @ v) for v in et))
-    scale = max(S, bound, 1.0)
-    return S, bound, S <= bound + 1e-12 * scale
+    if th.shape != et.shape:
+        raise ValueError("all six vectors must share one dimension")
+    # pairs (0, 1), (1, 2), (2, 0): row i against row i + 1 (mod 3)
+    d = th - np.roll(th, -1, axis=-2) + et + np.roll(et, -1, axis=-2)
+    S = np.sum(d * d, axis=(-2, -1))
+    bound = ((4.0 - omega * (1.0 - t)) * np.sum(th * th, axis=(-2, -1))
+             + (4.0 + 3.0 * omega / t) * np.sum(et * et, axis=(-2, -1)))
+    return S, bound, S <= bound + 1e-12 * np.maximum(np.maximum(S, bound), 1.0)

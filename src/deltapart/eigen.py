@@ -7,7 +7,10 @@ shift just below it; otherwise it runs two stages, the first from a shift
 below a certified lower bound the caller passes, to place the second.
 `lowest_form_eigenpairs` runs it on an assembled form with the form's
 `coercivity_bound`, started from the prolonged eigenvectors of the same
-form two mesh levels coarser (nested iteration).
+form two mesh levels coarser (nested iteration).  A k = 1 solve from the
+spectral bottom with that warm start is LOBPCG (Knyazev 2001),
+preconditioned by a two-grid cycle on the coarse level (Knyazev & Neymeyr
+2003): it needs no fine factorization.
 `dense_eigen_oracle` is a self-contained cross-check that shares no
 factorization code with it: its Cholesky, triangular solves and
 Householder reduction are blocked numpy kernels built on matmul alone,
@@ -17,6 +20,7 @@ followed by Sturm counts with a certified Newton finish.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ __all__ = ["SpectrumResult", "lowest_eigenpairs", "lowest_form_eigenpairs",
            "dense_eigen_oracle"]
 
 _DENSE_CUTOFF = 400
+_JACOBI_WEIGHT, _SWEEPS = 0.6, 3
 
 
 class _BottomError(RuntimeError):
@@ -39,12 +44,13 @@ class _BottomError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumResult:
     """The lowest eigenpairs of a pencil.  The eigenvectors are the columns
-    that LAPACK's generalized `eigh` (dense) or ARPACK's shift-invert mode
-    returns, which are M-orthonormal by construction."""
+    that LAPACK's generalized `eigh` (dense), ARPACK's shift-invert mode or
+    LOBPCG's final Rayleigh-Ritz step returns, which are M-orthonormal by
+    construction."""
     eigenvalues: np.ndarray   # ascending
     eigenvectors: np.ndarray  # columns, M-orthonormal
     residuals: np.ndarray     # relative residual per pair, see _residuals
-    method: str               # "dense" | "shift-invert"
+    method: str               # "dense" | "shift-invert" | "lobpcg"
     converged: bool
     tol: float
     shift: float | None = None
@@ -70,10 +76,31 @@ def _dense(n: int, k: int) -> bool:
     return n <= max(_DENSE_CUTOFF, 3 * (k + 5))
 
 
+def _two_grid(K, P):
+    """The symmetric two-grid cycle for K (SPD) as a function of a block of
+    residuals: _SWEEPS damped-Jacobi sweeps, the Galerkin coarse correction
+    P (P^T K P)^-1 P^T, then _SWEEPS more sweeps."""
+    w = _JACOBI_WEIGHT / K.diagonal()[:, None]
+    coarse = spla.splu(sp.csc_matrix(P.T @ K @ P))
+
+    def smooth(x, r):
+        for _ in range(_SWEEPS):
+            x = x + w * (r - K @ x)
+        return x
+
+    def cycle(r):
+        x = smooth(np.zeros_like(r), r)
+        x = x + P @ coarse.solve(P.T @ (r - K @ x))
+        return smooth(x, r)
+
+    return cycle
+
+
 def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
                       lower_bound: float | None = None,
                       start: np.ndarray | None = None,
-                      bottom: float | None = None) -> SpectrumResult:
+                      bottom: float | None = None,
+                      prolong: sp.spmatrix | None = None) -> SpectrumResult:
     """k smallest eigenpairs of A v = lam M v (A symmetric, M SPD).
 
     Pencils of at most _DENSE_CUTOFF rows (or 3(k + 5)) go to dense LAPACK.
@@ -99,6 +126,14 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     the Lanczos basis shrink to 2k + 8 vectors and the stage-2 margin to
     2% of max(1, |lam_hat|).  Without start the basis has max(4k + 10, 40)
     vectors and the margin is 50%.
+
+    prolong, the prolongation P from a coarser level of the same form
+    (`forms.coarse_form`), serves k = 1 solves from bottom only: there the
+    one solve is LOBPCG (method "lobpcg") from the same mixed start vector,
+    preconditioned by a two-grid cycle for K = A - shift M on the coarse
+    level P^T K P, so A - shift M is never factored.  It stops once its
+    residual meets tol (else converged is False).  A Rayleigh quotient never
+    lies below lambda_1, so the bottom is refused as above.
     """
     n = A.shape[0]
     if A.shape != (n, n) or M.shape != (n, n):
@@ -143,13 +178,22 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         lam_hat = float(np.min(rough))  # >= lambda_1 (Ritz from below in OP)
         # stage 2: refined shift with a safety margin
         sigma = lam_hat - margin * max(1.0, abs(lam_hat))
-    try:
-        vals, V = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                             ncv=ncv, maxiter=5000)
-        converged = True
-    except spla.ArpackNoConvergence as exc:  # keep whatever did converge
-        vals, V = exc.eigenvalues, exc.eigenvectors
-        converged = vals.size >= k
+    if bottom is not None and k == 1 and prolong is not None:
+        cycle = _two_grid(A - sigma * M, prolong)
+        with warnings.catch_warnings():  # a miss shows in the residual
+            warnings.simplefilter("ignore", UserWarning)
+            vals, V = spla.lobpcg(A, v0[:, None], B=M, M=cycle, tol=1e-10,
+                                  maxiter=200, largest=False)
+        method, converged = "lobpcg", True
+    else:
+        method = "shift-invert"
+        try:
+            vals, V = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", v0=v0,
+                                 ncv=ncv, maxiter=5000)
+            converged = True
+        except spla.ArpackNoConvergence as exc:  # keep whatever did converge
+            vals, V = exc.eigenvalues, exc.eigenvectors
+            converged = vals.size >= k
     low = float(np.min(vals)) if vals.size else None
     if bottom is not None and low is not None and low < sigma:
         raise _BottomError(
@@ -163,7 +207,7 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     order = np.argsort(vals)
     vals, V = vals[order], V[:, order]
     res = _residuals(A, M, vals, V)
-    return SpectrumResult(vals, V, res, "shift-invert",
+    return SpectrumResult(vals, V, res, method,
                           converged and bool(np.all(res <= tol)), tol, sigma)
 
 
@@ -175,7 +219,9 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
     On a form that takes the Lanczos path and has a `forms.coarse_form`,
     that form two levels coarser is solved first (by this function, so
     the coarse solve is warm-started too) and its
-    eigenvectors, prolonged, start the fine solve.  The meshes are nested,
+    eigenvectors, prolonged, start the fine solve; a k = 1 solve from
+    bottom also takes the prolongation, for LOBPCG's two-grid
+    preconditioner (see `lowest_eigenpairs`).  The meshes are nested,
     so each coarse lambda_j bounds the fine lambda_j from above; a fine
     result above that bound has missed an eigenvalue.  It, a coarse or
     fine solve that fails or does not converge, a form without that
@@ -195,7 +241,7 @@ def lowest_form_eigenpairs(df: forms.DiscreteForm, k: int, tol: float = 1e-8,
         if cf.n_dofs > k:
             try:
                 coarse = lowest_form_eigenpairs(cf, k, tol, seed, bottom)
-                r = solve(start=P @ coarse.eigenvectors)
+                r = solve(start=P @ coarse.eigenvectors, prolong=P)
             except _BottomError:
                 raise           # the random start would be refused the same
             except (RuntimeError, np.linalg.LinAlgError):

@@ -165,15 +165,17 @@ def test_08_interval():
 # -- 9: six-vector sum inequality ------------------------------------------
 
 def test_09_sum_inequality():
+    n = 100_000
     rng = np.random.default_rng(2024)
-    violations = 0
-    for _ in range(100_000):
-        th = rng.standard_normal((3, 3))
-        et = rng.standard_normal((3, 3))
-        w = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.02, 8.0)
-        _, _, holds = closedform.abc_inequality_check(th, et, w, t)
-        violations += not holds
+    th, et = np.empty((n, 3, 3)), np.empty((n, 3, 3))
+    w, t = np.empty(n), np.empty(n)
+    for i in range(n):                  # the draws in their stream order
+        th[i] = rng.standard_normal((3, 3))
+        et[i] = rng.standard_normal((3, 3))
+        w[i] = rng.uniform(0.0, 1.0)
+        t[i] = rng.uniform(0.02, 8.0)
+    _, _, holds = closedform.abc_inequality_check(th, et, w, t)
+    violations = int(np.count_nonzero(~holds))
     _line(9, "sum inequality: 1e5 random samples, zero violations beyond "
              "1e-12 relative", violations == 0, f"violations={violations}")
 

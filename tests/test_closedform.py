@@ -223,6 +223,44 @@ def test_abc_inequality_random():
         assert holds, (S, bound, w, t)
 
 
+def _abc_per_pair(th, et, w, t):
+    """The sum inequality for one draw, pair by pair and vector by vector."""
+    S = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        d = th[i] - th[j] + et[i] + et[j]
+        S += float(d @ d)
+    bound = ((4.0 - w * (1.0 - t)) * sum(float(v @ v) for v in th)
+             + (4.0 + 3.0 * w / t) * sum(float(v @ v) for v in et))
+    return S, bound, S <= bound + 1e-12 * max(S, bound, 1.0)
+
+
+def test_abc_inequality_batch_matches_the_per_sample_check():
+    """Stacked draws give each sample's S, bound and verdict as the
+    pair-by-pair formula and the one-draw call do (the draws include
+    omega = 0 and 1 and t near 0; only the order of the sums differs), and
+    one sample out of the domain fails the whole batch, naming the
+    argument."""
+    rng = np.random.default_rng(3)
+    n = 200
+    th = rng.standard_normal((n, 3, 4))
+    et = rng.standard_normal((n, 3, 4))
+    w = np.concatenate([rng.uniform(0.0, 1.0, n - 2), [1.0, 0.0]])
+    t = np.concatenate([rng.uniform(1e-3, 8.0, n - 2), [1e-3, 8.0]])
+    S, bound, holds = closedform.abc_inequality_check(th, et, w, t)
+    assert holds.shape == (n,)
+    for i in range(n):
+        one = closedform.abc_inequality_check(th[i], et[i], w[i], t[i])
+        ref = _abc_per_pair(th[i], et[i], w[i], t[i])
+        assert holds[i] == one[2] == ref[2]
+        assert np.allclose([S[i], bound[i]], ref[:2], rtol=1e-14, atol=0.0)
+        assert np.allclose(one[:2], ref[:2], rtol=1e-14, atol=0.0)
+    for w_bad, t_bad, match in ((1.5, 1.0, "omega"), (0.5, np.nan, "t must"),
+                                (0.5, -1.0, "t must"), (np.nan, 1.0, "omega")):
+        with pytest.raises(ValueError, match=match):
+            closedform.abc_inequality_check(
+                th, et, np.append(w[1:], w_bad), np.append(t[1:], t_bad))
+
+
 def test_abc_inequality_validation():
     z = [np.zeros(2)] * 3
     with pytest.raises(ValueError):

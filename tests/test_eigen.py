@@ -40,25 +40,31 @@ def test_dense_path_matches_lapack():
     assert np.allclose(r.eigenvalues, ref, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("path", ["dense", "lanczos", "warm"])
+@pytest.mark.parametrize("path", ["dense", "lanczos", "warm", "lobpcg"])
 def test_result_invariants(path, solve_starts):
     """Ascending eigenvalues, residuals within tol and M-orthonormal
-    eigenvectors, as LAPACK and ARPACK return them, on each path: dense
-    (star3 L3, k = 6), a bare-pencil Lanczos solve from the random start
-    (star3 L4, k = 6) and a warm-started k = 10 solve of the Neumann
-    island's delta' form."""
+    eigenvectors, as LAPACK, ARPACK and LOBPCG return them, on each path:
+    dense (star3 L3, k = 6), a bare-pencil Lanczos solve from the random
+    start (star3 L4, k = 6), a warm-started k = 10 solve of the Neumann
+    island's delta' form and a warm-started k = 1 solve of the half-plane
+    delta form from its spectral bottom (L5)."""
     if path == "warm":
         df = _form("island", 3, operator="delta-prime", bc="neumann")
         r = eigen.lowest_form_eigenpairs(df, 10)
+        assert solve_starts[-1] == (df.n_dofs, True)
+    elif path == "lobpcg":
+        df, bottom = _half_plane_bottom("delta", 5)
+        r = eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
         assert solve_starts[-1] == (df.n_dofs, True)
     else:
         df = _form("star3", 3 if path == "dense" else 4)
         r = eigen.lowest_eigenpairs(df.A, df.M, 6,
                                     lower_bound=df.coercivity_bound)
         assert solve_starts == [(df.n_dofs, False)]
-    assert r.method == ("dense" if path == "dense" else "shift-invert")
+    assert r.method == {"dense": "dense", "lobpcg": "lobpcg"}.get(
+        path, "shift-invert")
     k = r.eigenvalues.size
-    assert k == (10 if path == "warm" else 6)
+    assert k == {"warm": 10, "lobpcg": 1}.get(path, 6)
     assert np.all(np.diff(r.eigenvalues) >= 0.0)
     assert np.all(r.residuals <= r.tol)
     G = r.eigenvectors.T @ (df.M @ r.eigenvectors)
@@ -82,22 +88,22 @@ def test_residuals_match_the_per_pair_formula():
 
 
 def test_shift_invert_matches_dense():
-    df = _form("star3", 3)          # several hundred dofs -> iterative path
+    df = _form("star3", 4)          # 841 dofs -> iterative path
     r = eigen.lowest_eigenpairs(df.A, df.M, 5,
                                 lower_bound=df.coercivity_bound)
     ref = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True)[:5]
-    if r.method == "shift-invert":
-        assert r.shift is not None
+    assert r.method == "shift-invert" and r.shift is not None
     assert np.max(np.abs(r.eigenvalues - ref) /
                   np.maximum(1.0, np.abs(ref))) <= 1e-8
 
 
 def test_determinism():
-    df = _form("star3", 3, operator="delta-prime")
+    df = _form("star3", 4, operator="delta-prime")     # 888 dofs
     r1 = eigen.lowest_eigenpairs(df.A, df.M, 3, seed=42,
                                  lower_bound=df.coercivity_bound)
     r2 = eigen.lowest_eigenpairs(df.A, df.M, 3, seed=42,
                                  lower_bound=df.coercivity_bound)
+    assert r1.method == "shift-invert"
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
 
@@ -365,49 +371,78 @@ def test_bottom_path_matches_two_stage_path(operator, k):
                   / np.abs(two_stage.eigenvalues)) <= 1e-12
 
 
+def _count_calls(monkeypatch, *names):
+    """{name: Counter of the row counts A of each call} for these solvers
+    of scipy.sparse.linalg, as `eigen` calls them."""
+    calls = {}
+    for name in names:
+        plain = getattr(eigen.spla, name)
+        calls[name] = sizes = collections.Counter()
+
+        def counted(A, *args, _plain=plain, _sizes=sizes, **kwargs):
+            _sizes[A.shape[0]] += 1
+            return _plain(A, *args, **kwargs)
+
+        monkeypatch.setattr(eigen.spla, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("operator", ["delta", "delta-prime"])
-def test_bottom_path_calls_eigsh_once_per_lanczos_level(monkeypatch, operator):
+def test_bottom_path_calls_lobpcg_once_per_warm_level(monkeypatch, operator):
     """Levels 6 and 4 of this form take the Lanczos path (level 2 is
-    dense): two eigsh calls from the bottom, four with stage 1."""
+    dense), each warm-started from the level two below: one lobpcg solve
+    from the bottom and no eigsh call at each, two eigsh calls each with
+    stage 1."""
     df, bottom = _half_plane_bottom(operator, 6)
-    plain = eigen.spla.eigsh
-    sizes = collections.Counter()
-
-    def counted(A, *args, **kwargs):
-        sizes[A.shape[0]] += 1
-        return plain(A, *args, **kwargs)
-
-    monkeypatch.setattr(eigen.spla, "eigsh", counted)
+    calls = _count_calls(monkeypatch, "eigsh", "lobpcg")
     eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
-    once = dict(sizes)
-    sizes.clear()
+    once = dict(calls["lobpcg"])
+    assert not calls["eigsh"]
+    calls["lobpcg"].clear()
     eigen.lowest_form_eigenpairs(df, 1)
     assert len(once) == 2 and df.n_dofs in once
     assert all(v == 1 for v in once.values())
-    assert sizes == {n: 2 for n in once}
+    assert not calls["lobpcg"]
+    assert calls["eigsh"] == {n: 2 for n in once}
+
+
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+def test_bottom_path_finds_a_hidden_lambda1(operator):
+    """A k = 1 LOBPCG solve from the bottom, started M-orthogonal to v_1
+    (what a coarse level that misses it would give), still returns the
+    dense lambda_1: from v_2 itself, whose residual is already within tol,
+    only the seeded random vector mixed into the start leads away from
+    lambda_2, and from a mix of v_2 .. v_6."""
+    df, bottom = _half_plane_bottom(operator, 5)
+    vals, V = sla.eigh(df.A.toarray(), df.M.toarray(), subset_by_index=[0, 5])
+    mix = V @ np.random.default_rng(5).standard_normal(6)
+    mix -= V[:, 0] * (V[:, 0] @ (df.M @ mix))
+    for x in (V[:, 1], mix):
+        r = eigen.lowest_eigenpairs(df.A, df.M, 1, start=x, bottom=bottom,
+                                    lower_bound=df.coercivity_bound,
+                                    prolong=forms.coarse_form(df)[1])
+        assert r.method == "lobpcg" and r.converged
+        assert np.all(r.residuals <= r.tol)
+        assert abs(r.eigenvalues[0] - vals[0]) <= 1e-8 * max(1.0, abs(vals[0]))
 
 
 @pytest.mark.parametrize("solver", ["pencil", "form"])
 def test_bottom_above_lambda1_is_refused(solver, monkeypatch):
     """A bottom between lambda_1 and lambda_2 puts the shift above lambda_1:
     the solve raises instead of returning lambda_2 as the bottom, also
-    from the warm start, after one fine solve and no random-start retry."""
+    from the warm start (a LOBPCG solve), after one fine solve and no
+    random-start retry."""
     df, _ = _half_plane_bottom("delta", 5)
     lam = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
                    subset_by_index=[0, 1])
     bottom = lam[0] + 0.05 * (lam[1] - lam[0])
-    plain = eigen.spla.eigsh
-    sizes = collections.Counter()
-
-    def counted(A, *args, **kwargs):
-        sizes[A.shape[0]] += 1
-        return plain(A, *args, **kwargs)
-
-    monkeypatch.setattr(eigen.spla, "eigsh", counted)
+    calls = _count_calls(monkeypatch, "eigsh", "lobpcg")
     with pytest.raises(RuntimeError, match="spectral bottom .* not a lower"):
         if solver == "pencil":
             eigen.lowest_eigenpairs(df.A, df.M, 1, bottom=bottom,
                                     lower_bound=df.coercivity_bound)
         else:
             eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
-    assert sizes[df.n_dofs] == 1
+    fine = {name: sizes[df.n_dofs] for name, sizes in calls.items()}
+    assert fine == {"eigsh": int(solver == "pencil"),
+                    "lobpcg": int(solver == "form")}

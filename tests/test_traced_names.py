@@ -36,7 +36,7 @@ def test_traced_run_counts_every_layer(tmp_path):
                  for mod, attr, _ in tracing.boundaries()]
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"geometry":{"name":"half_plane"},"box_radius":6,'
-                   '"levels":4,"beta":2,"solver":{"k":1,"seed":0}}')
+                   '"levels":4,"beta":2,"solver":{"k":2,"seed":0}}')
     tracer = tracing.Tracer()
     with tracer.installed():
         assert cli.main(["spectrum", "--operator", "delta-prime",
