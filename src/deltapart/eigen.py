@@ -119,13 +119,15 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
     from a shift below lam_hat and must not land above it.
 
     start (n x j), e.g. prolonged coarse-mesh eigenvectors, seeds the
-    solves: stage 1 from start[:, 0], the full-precision solve from the
-    sum of its normalized columns, each with the seeded random vector
-    mixed in at weight 0.01, so that no eigenvector is missing from the
-    Krylov space even when start is orthogonal to it.  A good start lets
-    the Lanczos basis shrink to 2k + 8 vectors and the stage-2 margin to
-    2% of max(1, |lam_hat|).  Without start the basis has max(4k + 10, 40)
-    vectors and the margin is 50%.
+    solves; without it the seeded random vector is the one column.  Stage
+    1 starts from start[:, 0], the full-precision solve from the sum of
+    its normalized columns, each with the seeded random vector mixed in
+    at weight 0.01, so that no eigenvector is missing from the Krylov
+    space even when start is orthogonal to it.  Whatever the start, an
+    ARPACK solve for j eigenvalues keeps 2j + 8 Lanczos vectors (10 at
+    stage 1) and the stage-2 shift sits 2% of max(1, |lam_hat|) below
+    lam_hat: the margin covers stage 1's Ritz error, which ARPACK's
+    residual test bounds for any start vector.
 
     prolong, the prolongation P from a coarser level of the same form
     (`forms.coarse_form`), serves k = 1 solves from bottom only: there the
@@ -154,16 +156,13 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
                          "needs lower_bound, a certified bound below lambda_1")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    if start is None:
-        v1, ncv1, ncv, margin = v0, 40, max(4 * k + 10, 40), 0.5
-    else:
-        start = np.asarray(start, dtype=float).reshape(n, -1)
-        unit = start / np.linalg.norm(start, axis=0)
-        noise = 0.01 * v0 / np.linalg.norm(v0)
-        v1 = unit[:, 0] + noise
-        v0 = unit.sum(axis=1) / np.sqrt(unit.shape[1]) + noise
-        ncv1, ncv, margin = 10, 2 * k + 8, 0.02
-    ncv = min(n - 1, ncv)
+    start = np.asarray(v0 if start is None else start, dtype=float).reshape(n, -1)
+    unit = start / np.linalg.norm(start, axis=0)
+    noise = 0.01 * v0 / np.linalg.norm(v0)
+    v1 = unit[:, 0] + noise
+    v0 = unit.sum(axis=1) / np.sqrt(unit.shape[1]) + noise
+    # an ARPACK solve for j eigenvalues keeps 2j + 8 Lanczos vectors, which
+    # the Lanczos path's n > max(400, 3(k + 5)) always allows
     if bottom is not None:
         # the bottom bounds lambda_1 by theorem: no stage 1 is needed
         floor = max(float(bottom), float(lower_bound))
@@ -173,11 +172,11 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         # eigenvalue is provably the bottom; loose tolerance keeps it cheap
         sigma1 = float(lower_bound) - 1.0
         rough = spla.eigsh(A, k=1, M=M, sigma=sigma1, which="LM", v0=v1,
-                           ncv=min(n - 1, ncv1), maxiter=5000, tol=1e-5,
+                           ncv=10, maxiter=5000, tol=1e-5,
                            return_eigenvectors=False)
         lam_hat = float(np.min(rough))  # >= lambda_1 (Ritz from below in OP)
         # stage 2: refined shift with a safety margin
-        sigma = lam_hat - margin * max(1.0, abs(lam_hat))
+        sigma = lam_hat - 0.02 * max(1.0, abs(lam_hat))
     if bottom is not None and k == 1 and prolong is not None:
         cycle = _two_grid(A - sigma * M, prolong)
         with warnings.catch_warnings():  # a miss shows in the residual
@@ -189,7 +188,7 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         method = "shift-invert"
         try:
             vals, V = spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                                 ncv=ncv, maxiter=5000)
+                                 ncv=2 * k + 8, maxiter=5000)
             converged = True
         except spla.ArpackNoConvergence as exc:  # keep whatever did converge
             vals, V = exc.eigenvalues, exc.eigenvectors

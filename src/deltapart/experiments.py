@@ -178,7 +178,7 @@ def run_unitary_identity(geometry_name: str = "half_plane",
     norm_dev = 0.0
     for _ in range(trials):
         f = rng.standard_normal(df.n_dofs)
-        u = forms.apply_unitary(ph, bf, forms.embed_continuous(bf, f))
+        u = forms.apply_unitary(ph, bf, forms.embed_continuous(df, bf, f))
         a_b = forms.form_value(bf, u)
         a_c = forms.form_value(df, f)
         mn_c = float(f @ (df.M @ f))
@@ -268,12 +268,11 @@ def _broken_rayleigh_local(m: mesh.Mesh, table, jump, f: np.ndarray) -> float:
     marked = ((table >= 0) & nz[table]).any(axis=0)
     tris = m.triangles
     cand = np.flatnonzero(marked[tris[:, 0]] | marked[tris[:, 1]] | marked[tris[:, 2]])
-    nodes = np.ascontiguousarray(m.nodes)
     num = den = 0.0
     for b in range(0, cand.size, _BLOCK):
         c = cand[b:b + _BLOCK]
         tri_dofs = table[m.tri_subdomain[c, None], tris[c]]
-        s, mm = _kernels.p1_energies(nodes, tris[c], f[tri_dofs])
+        s, mm = _kernels.p1_energies(m.nodes, tris[c], f[tri_dofs])
         num, den = num + s, den + mm
     jd, jl = jump
     on = nz[jd].any(axis=1)

@@ -191,8 +191,7 @@ def _assemble(m: Mesh, bc: str, space: str, interaction, tris, tri_dofs,
         raise ValueError(f"boundary policy must be dirichlet or neumann, got {bc!r}")
     _whole_box(m, "assembling a form")
     n = dof_node.size
-    stiff, mass, _ = _kernels.p1_elements(np.ascontiguousarray(m.nodes),
-                                          np.ascontiguousarray(tris))
+    stiff, mass, _ = _kernels.p1_elements(m.nodes, tris)
     bound = _patch_bound(n, tri_dofs, stiff, mass, edge_dofs, edge_local)
     outer = np.zeros(m.n_nodes, dtype=bool)
     if bc == "dirichlet":
@@ -322,21 +321,23 @@ def coarse_form(df: DiscreteForm):
     return cf, prolong
 
 
-def embed_continuous(bf: DiscreteForm, f: np.ndarray) -> np.ndarray:
-    """Copy a continuous vector (same mesh, same boundary policy) into the
-    broken space: every duplicated dof receives the nodal value."""
-    if bf.space != "broken":
-        raise ValueError("embedding target must be a broken form")
+def embed_continuous(df: DiscreteForm, bf: DiscreteForm,
+                     f: np.ndarray) -> np.ndarray:
+    """Copy a vector f of the continuous form df into the broken space of
+    bf, on the same mesh under the same boundary policy: every duplicated
+    dof receives the nodal value."""
+    if df.space != "continuous" or bf.space != "broken":
+        raise ValueError("embedding maps a continuous form's vector into "
+                         "a broken form's space")
+    if df.mesh is not bf.mesh or df.bc != bf.bc:
+        raise ValueError("the two forms must share one mesh and one "
+                         "boundary policy")
     f = np.asarray(f)
+    if f.shape != (df.n_dofs,):
+        raise ValueError(f"continuous vector has shape {f.shape}, "
+                         f"expected ({df.n_dofs},)")
     nodal = np.zeros(bf.mesh.n_nodes, dtype=f.dtype)
-    if bf.bc == "dirichlet":
-        keep_nodes = np.setdiff1d(np.arange(bf.mesh.n_nodes), bf.mesh.outer_boundary_nodes)
-    else:
-        keep_nodes = np.arange(bf.mesh.n_nodes)
-    if f.shape[0] != keep_nodes.size:
-        raise ValueError(f"continuous vector has {f.shape[0]} entries, "
-                         f"expected {keep_nodes.size} (mesh mismatch)")
-    nodal[keep_nodes] = f
+    nodal[df.dof_node] = f
     return nodal[bf.dof_node]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import deltapart
-from deltapart import cli, experiments
+from deltapart import cli, closedform, experiments, geometry
 
 
 VALID = ('{"geometry":{"name":"star3"},"box_radius":6,"levels":4,'
@@ -283,6 +284,83 @@ def test_partition_info(cfg_file, capsys):
     assert d["chi"] == 3
     assert len(d["interfaces"]) == 3
     assert d["edge_constant"] == pytest.approx(3.0)
+
+
+def test_partition_info_text_and_csv(cfg_file, capsys):
+    """The default text report, one sorted `key = repr` line per field, and
+    the csv table of interfaces, one row per interface with repr floats."""
+    assert cli.main(["partition", "info", "--config", cfg_file]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "box_radius = 4.0",
+        "chi = 3",
+        "colouring = {'1': 0, '2': 1, '3': 2}",
+        f"edge_constant = {geometry.edge_constant(3)!r}",
+        "geometry = 'star3'",
+        "interfaces = '1:1-2 len=4.61880215352 alpha_z=1; "
+        "2:1-3 len=4 alpha_z=1; 3:2-3 len=4.61880215352 alpha_z=1'",
+        "mesh = 'levels=3 nodes=253 triangles=448'",
+        "subdomains = [1, 2, 3]",
+    ]
+    assert cli.main(["--format", "csv", "partition", "info",
+                     "--config", cfg_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    p, _ = cli._load_config(cfg_file).build()
+    d = geometry.InteractionData.uniform(p, 1.0, 3.0)
+    c = geometry.chromatic_colouring(geometry.adjacency_graph(p))
+    ph = geometry.phase_assignment(p, c, d)
+    assert lines == ["id,k,l,length,alpha,beta,alpha_z"] + [
+        f"{i.id},{i.k},{i.l},{i.length!r},1.0,3.0,{ph.alpha_z[i.id]!r}"
+        for i in p.interfaces]
+
+
+@pytest.mark.parametrize("params,key,payload", [
+    (["wedge-trace", "1", "1.5"], "bound",
+     lambda: {"bound": closedform.wedge_trace_bound(1.0, 1.5)}),
+    (["wedge-trace", "1", "1.5", "1"], "bound",
+     lambda: {"bound": closedform.wedge_trace_bound(
+         1.0, 1.5, vanishing_on_bisector=True)}),
+    (["star-delta", "2"], "bottom",
+     lambda: {"bottom": closedform.star_delta_bottom(2.0)}),
+    (["edge-constant", "3"], "edge_constant",
+     lambda: {"edge_constant": geometry.edge_constant(3)}),
+    (["interval", "1", "2"], "epsilon",
+     lambda: dataclasses.asdict(closedform.interval_delta_prime(1.0, 2.0))),
+], ids=["wedge-trace", "wedge-trace-bisector", "star-delta", "edge-constant",
+        "interval"])
+def test_closed_form_payloads(capsys, params, key, payload):
+    """JSON: the named fields and `values`, the field key alone; csv: one
+    `name,value` row per field but `values`, sorted; text: `values` to 12
+    significant digits."""
+    expect = payload()
+    assert cli.main(["--format", "json", "closed-form", *params]) == 0
+    assert json.loads(capsys.readouterr().out) == dict(
+        expect, values=[expect[key]])
+    assert cli.main(["--format", "csv", "closed-form", *params]) == 0
+    assert capsys.readouterr().out.splitlines() == ["name,value"] + [
+        f"{name},{expect[name]!r}" for name in sorted(expect)]
+    assert cli.main(["closed-form", *params]) == 0
+    assert capsys.readouterr().out == format(expect[key], ".12g") + "\n"
+
+
+def test_verify_csv_rows_match_the_json_assertions(tmp_path, capsys):
+    """One csv row per assertion, its name quoted, its numbers as repr,
+    equal to the JSON report's fields."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({
+        "geometry": {"name": "half_plane"}, "box_radius": 4, "levels": 2,
+        "solver": {"deterministic": True}, "experiment": {"trials": 5}}))
+    assert cli.main(["verify", "unitary", "--config", str(f)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert cli.main(["--format", "csv", "verify", "unitary",
+                     "--config", str(f)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "name,computed,reference,tolerance,margin,passed"
+    assert lines[1:] == [
+        f'"{a["name"]}",{a["computed"]!r},{a["reference"]!r},'
+        f'{a["tolerance"]!r},{a["margin"]!r},{a["passed"]}'
+        for a in report["assertions"]]
+    assert [a["name"] for a in report["assertions"]] == [
+        "form identity deviation", "unitarity of phase map"]
 
 
 def test_spectrum_csv(cfg_file, capsys):

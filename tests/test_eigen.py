@@ -446,3 +446,33 @@ def test_bottom_above_lambda1_is_refused(solver, monkeypatch):
     fine = {name: sizes[df.n_dofs] for name, sizes in calls.items()}
     assert fine == {"eigsh": int(solver == "pencil"),
                     "lobpcg": int(solver == "form")}
+
+
+def test_one_lanczos_policy_for_every_start(monkeypatch):
+    """From the random start and from a warm start alike, an ARPACK solve
+    for j eigenvalues keeps 2j + 8 Lanczos vectors (10 at stage 1), and
+    the stage-2 shift sits 2% of max(1, |lam_hat|) below stage 1's
+    estimate lam_hat."""
+    df = _form("star3", 4)
+    k = 3
+    cf, P = forms.coarse_form(df)
+    warm = P @ eigen.lowest_form_eigenpairs(cf, k).eigenvectors
+    calls = []
+    plain = eigen.spla.eigsh
+
+    def spy(A, *args, **kwargs):
+        out = plain(A, *args, **kwargs)
+        calls.append((kwargs["k"], kwargs["ncv"], kwargs["sigma"], out))
+        return out
+
+    monkeypatch.setattr(eigen.spla, "eigsh", spy)
+    for start in (None, warm):
+        calls.clear()
+        r = eigen.lowest_eigenpairs(df.A, df.M, k, start=start,
+                                    lower_bound=df.coercivity_bound)
+        (k1, ncv1, _, rough), (k2, ncv2, sigma2, _) = calls
+        assert (k1, ncv1, k2, ncv2) == (1, 10, k, 2 * k + 8)
+        lam_hat = float(np.min(rough))
+        assert sigma2 == lam_hat - 0.02 * max(1.0, abs(lam_hat))
+        assert r.shift == sigma2 < r.eigenvalues[0]
+        assert r.method == "shift-invert" and r.converged

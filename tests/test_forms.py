@@ -105,7 +105,7 @@ def test_unitary_identity_exact(name, beta):
     rng = np.random.default_rng(3)
     for _ in range(20):
         f = rng.standard_normal(cf.A.shape[0])
-        u = forms.apply_unitary(ph, bf, forms.embed_continuous(bf, f))
+        u = forms.apply_unitary(ph, bf, forms.embed_continuous(cf, bf, f))
         a_b = float(np.real(np.vdot(u, bf.A @ u)))
         a_c = forms.form_value(cf, f)
         scale = max(1.0, abs(a_c))
@@ -125,10 +125,29 @@ def test_form_ordering_for_admissible_beta():
     rng = np.random.default_rng(4)
     for _ in range(20):
         f = rng.standard_normal(cf.A.shape[0])
-        u = forms.apply_unitary(ph, bf, forms.embed_continuous(bf, f))
+        u = forms.apply_unitary(ph, bf, forms.embed_continuous(cf, bf, f))
         a_b = float(np.real(np.vdot(u, bf.A @ u)))
         a_c = forms.form_value(cf, f)
         assert a_b <= a_c + 1e-11 * max(1.0, abs(a_c))
+
+
+def test_embed_continuous_copies_nodal_values():
+    """Each broken dof takes the value of its node's continuous dof; the
+    pair must be a continuous and a broken form on one mesh under one
+    boundary policy, and f must have the continuous form's dof count."""
+    _, m, d = _setup("star3", 2)
+    cf = forms.assemble_delta(m, d, "dirichlet")
+    bf = forms.assemble_delta_prime(m, d, "dirichlet")
+    f = np.arange(1.0, cf.n_dofs + 1.0)
+    u = forms.embed_continuous(cf, bf, f)
+    assert np.array_equal(u, f[cf.full_to_red[bf.dof_node]])
+    _, other, _ = _setup("star3", 2)
+    neumann = forms.assemble_delta(m, d, "neumann")
+    for args in ((bf, bf, f), (cf, cf, f), (cf, bf, f[:-1]),
+                 (neumann, bf, np.ones(neumann.n_dofs)),
+                 (forms.assemble_delta(other, d, "dirichlet"), bf, f)):
+        with pytest.raises(ValueError):
+            forms.embed_continuous(*args)
 
 
 def test_coercivity_bound_is_certified():
@@ -670,7 +689,7 @@ def _check_assembled_forms(p, m, d):
     rng = np.random.default_rng(0)
     for _ in range(5):
         f = rng.standard_normal(cd.n_dofs)
-        u = forms.apply_unitary(ph, bd, forms.embed_continuous(bd, f))
+        u = forms.apply_unitary(ph, bd, forms.embed_continuous(cd, bd, f))
         a_b = float(np.real(np.vdot(u, bd.A @ u)))
         a_c = forms.form_value(cd, f)
         assert abs(a_b - a_c) <= 1e-11 * max(1.0, abs(a_c))

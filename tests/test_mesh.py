@@ -415,3 +415,25 @@ def test_bad_window_is_named(window):
     p = geometry.build_canonical_partition("half_plane", {"box_radius": 4.0})
     with pytest.raises(ValueError, match="window must be"):
         mesh.triangulate(p, 1, window)
+
+
+def _signed_area(coords, loop):
+    return 0.5 * math.fsum(
+        coords[a][0] * coords[b][1] - coords[b][0] * coords[a][1]
+        for a, b in zip(loop, loop[1:] + loop[:1]))
+
+
+@pytest.mark.parametrize("coords", [
+    [(1, 1), (1, 2), (0, 2), (0, 0), (2, 0), (2, 1)],   # L, reflex first
+    [(1, 0), (2, 0), (2, 2), (0, 2), (0, 0)],           # collinear first
+], ids=["reflex-first", "collinear-first"])
+def test_ear_clip_skips_a_reflex_or_collinear_corner(coords):
+    """A loop whose first corner is no ear: the clipper passes it and
+    still cuts n - 2 triangles of positive area that tile the loop."""
+    loop = list(range(len(coords)))
+    tris = mesh._ear_clip(coords, loop)
+    areas = [_signed_area(coords, list(t)) for t in tris]
+    assert tris[0][1] != loop[0]          # the first ear is not corner 0
+    assert len(tris) == len(coords) - 2
+    assert all(a > 0.0 for a in areas)
+    assert math.fsum(areas) == _signed_area(coords, loop)
