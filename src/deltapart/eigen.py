@@ -8,9 +8,10 @@ below a certified lower bound the caller passes, to place the second.
 `lowest_form_eigenpairs` runs it on an assembled form with the form's
 `coercivity_bound`, started from the prolonged eigenvectors of the same
 form two mesh levels coarser (nested iteration).  A k = 1 solve from the
-spectral bottom with that warm start is LOBPCG (Knyazev 2001),
-preconditioned by a two-grid cycle on the coarse level (Knyazev & Neymeyr
-2003): it needs no fine factorization.
+spectral bottom with that warm start is this module's one-vector LOBPCG
+(`_lobpcg`, Knyazev 2001), preconditioned by a two-grid cycle on the
+coarse level (Knyazev & Neymeyr 2003): it needs no fine factorization,
+and its products with n-vectors are einsums, not BLAS calls.
 `dense_eigen_oracle` is a self-contained cross-check that shares no
 factorization code with it: its Cholesky, triangular solves and
 Householder reduction are blocked numpy kernels built on matmul alone,
@@ -20,7 +21,6 @@ followed by Sturm counts with a certified Newton finish.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = ["SpectrumResult", "lowest_eigenpairs", "lowest_form_eigenpairs",
 
 _DENSE_CUTOFF = 400
 _JACOBI_WEIGHT, _SWEEPS = 0.6, 3
+_MAXITER, _STOP = 200, 1e-20    # _lobpcg's steps and its bound on ||r||_2^2
 
 
 class _BottomError(RuntimeError):
@@ -44,9 +45,9 @@ class _BottomError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumResult:
     """The lowest eigenpairs of a pencil.  The eigenvectors are the columns
-    that LAPACK's generalized `eigh` (dense), ARPACK's shift-invert mode or
-    LOBPCG's final Rayleigh-Ritz step returns, which are M-orthonormal by
-    construction."""
+    that LAPACK's generalized `eigh` (dense) or ARPACK's shift-invert mode
+    returns, which are M-orthonormal by construction, or the M-unit vector
+    of `_lobpcg`."""
     eigenvalues: np.ndarray   # ascending
     eigenvectors: np.ndarray  # columns, M-orthonormal
     residuals: np.ndarray     # relative residual per pair, see _residuals
@@ -77,23 +78,65 @@ def _dense(n: int, k: int) -> bool:
 
 
 def _two_grid(K, P):
-    """The symmetric two-grid cycle for K (SPD) as a function of a block of
-    residuals: _SWEEPS damped-Jacobi sweeps, the Galerkin coarse correction
-    P (P^T K P)^-1 P^T, then _SWEEPS more sweeps."""
-    w = _JACOBI_WEIGHT / K.diagonal()[:, None]
+    """The symmetric two-grid cycle for K (SPD) as a function of a residual
+    vector: _SWEEPS damped-Jacobi sweeps from 0 (the first is w * r), the
+    Galerkin coarse correction P (P^T K P)^-1 P^T, then _SWEEPS more
+    sweeps."""
+    w = _JACOBI_WEIGHT / K.diagonal()
     coarse = spla.splu(sp.csc_matrix(P.T @ K @ P))
 
-    def smooth(x, r):
-        for _ in range(_SWEEPS):
+    def smooth(x, r, sweeps):
+        for _ in range(sweeps):
             x = x + w * (r - K @ x)
         return x
 
     def cycle(r):
-        x = smooth(np.zeros_like(r), r)
+        x = smooth(w * r, r, _SWEEPS - 1)
         x = x + P @ coarse.solve(P.T @ (r - K @ x))
-        return smooth(x, r)
+        return smooth(x, r, _SWEEPS)
 
     return cycle
+
+
+def _lobpcg(A, M, x, precond):
+    """(lam, v) for the lowest eigenpair of A v = lam M v by LOBPCG for one
+    vector (Knyazev 2001) from x, preconditioned by precond: stops once
+    ||A x - lam M x||_2^2 <= _STOP for the M-unit x, after _MAXITER steps, or
+    when the basis [x, w, p] loses rank.  v is M-unit.  The dense products
+    with n-vectors (the norms, the Gram matrices and the combination S c)
+    are einsums, never BLAS: these n x 3 products are too small to gain
+    from BLAS threads, whose start-up and spinning cost more than they
+    save."""
+    S = np.empty((3, 3, x.size))    # rows x, w, p; columns v, A v, M v
+    S[0] = x, A @ x, M @ x
+    rows = 2                        # p joins after the first step
+    for step in range(_MAXITER + 1):
+        S[0] /= np.sqrt(np.einsum("n,n", S[0, 0], S[0, 2]))
+        x, Ax, Mx = S[0]
+        lam = np.einsum("n,n", x, Ax)
+        r = Ax - lam * Mx
+        if step == _MAXITER or np.einsum("n,n", r, r) <= _STOP:
+            break
+        w = precond(r)
+        S[1] = w, A @ w, M @ w
+        B = S[1:rows]
+        B /= np.sqrt(np.einsum("in,in->i", B[:, 0], B[:, 2]))[:, None, None]
+        GA = np.einsum("in,jn->ij", S[:rows, 0], S[:rows, 1])
+        GM = np.einsum("in,jn->ij", S[:rows, 0], S[:rows, 2])
+        for m in range(rows, 1, -1):    # drop p if [x, w, p] loses rank
+            try:
+                L = np.linalg.inv(np.linalg.cholesky(GM[:m, :m]))
+            except np.linalg.LinAlgError:
+                continue
+            c = L.T @ np.linalg.eigh(L @ GA[:m, :m] @ L.T)[1][:, 0]
+            break
+        else:
+            break
+        p = np.einsum("i,ijn->jn", c[1:], S[1:m])
+        S[0] = c[0] * S[0] + p
+        S[2] = p
+        rows = 3
+    return lam, x
 
 
 def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
@@ -131,11 +174,12 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
 
     prolong, the prolongation P from a coarser level of the same form
     (`forms.coarse_form`), serves k = 1 solves from bottom only: there the
-    one solve is LOBPCG (method "lobpcg") from the same mixed start vector,
-    preconditioned by a two-grid cycle for K = A - shift M on the coarse
-    level P^T K P, so A - shift M is never factored.  It stops once its
-    residual meets tol (else converged is False).  A Rayleigh quotient never
-    lies below lambda_1, so the bottom is refused as above.
+    one solve is `_lobpcg` (method "lobpcg") from the same mixed start
+    vector, preconditioned by a two-grid cycle for K = A - shift M on the
+    coarse level P^T K P, so A - shift M is never factored.  It stops once
+    ||A v - lam M v||_2 <= 1e-10 for the M-unit v, and the result is
+    accepted as converged only when its residual meets tol.  A Rayleigh
+    quotient never lies below lambda_1, so the bottom is refused as above.
     """
     n = A.shape[0]
     if A.shape != (n, n) or M.shape != (n, n):
@@ -178,11 +222,8 @@ def lowest_eigenpairs(A, M, k: int, tol: float = 1e-8, seed: int = 0,
         # stage 2: refined shift with a safety margin
         sigma = lam_hat - 0.02 * max(1.0, abs(lam_hat))
     if bottom is not None and k == 1 and prolong is not None:
-        cycle = _two_grid(A - sigma * M, prolong)
-        with warnings.catch_warnings():  # a miss shows in the residual
-            warnings.simplefilter("ignore", UserWarning)
-            vals, V = spla.lobpcg(A, v0[:, None], B=M, M=cycle, tol=1e-10,
-                                  maxiter=200, largest=False)
+        lam, v = _lobpcg(A, M, v0, _two_grid(A - sigma * M, prolong))
+        vals, V = np.array([lam]), v[:, None]
         method, converged = "lobpcg", True
     else:
         method = "shift-invert"

@@ -261,6 +261,38 @@ def test_abc_inequality_batch_matches_the_per_sample_check():
                 th, et, np.append(w[1:], w_bad), np.append(t[1:], t_bad))
 
 
+def test_abc_inequality_exact_certificate():
+    """The sum inequality is diag(a, a, a, b, b, b) - Q >= 0 per
+    coordinate, with a = 4 - omega(1 - t), b = 4 + 3 omega/t and Q the
+    form of the cyclic sum over (theta, eta).  The cyclic shift splits it
+    into the constant mode, b >= 4, and two modes [[a - 3, -z], [-z', b - 1]]
+    with |z|^2 = 3, which hold when a >= 3 and (a - 3)(b - 1) >= 3; and
+    (a - 3)(b - 1) - 3 = 3 omega [t + (1 - omega)(1/t - 1)] >= 0 on
+    omega in [0, 1], t > 0.  At omega = 0 the least eigenvalue is 0: the
+    bound is sharp."""
+    w, t = np.meshgrid(np.linspace(0.0, 1.0, 101), np.geomspace(1e-3, 1e3, 200),
+                       indexing="ij")
+    a, b = 4.0 - w * (1.0 - t), 4.0 + 3.0 * w / t
+    lhs = (a - 3.0) * (b - 1.0) - 3.0
+    rhs = 3.0 * w * (t + (1.0 - w) * (1.0 / t - 1.0))
+    # a - 3 cancels up to an ulp of a, so the error scales with a b
+    assert np.all(np.abs(lhs - rhs) <= 1e-14 * a * b)
+    assert np.all(b >= 4.0) and np.all(a >= 3.0) and np.all(rhs >= 0.0)
+    # rows d_i = theta_i - theta_{i+1} + eta_i + eta_{i+1}, i mod 3
+    shift = np.roll(np.eye(3), 1, axis=1)
+    D = np.hstack([np.eye(3) - shift, np.eye(3) + shift])
+    Q = D.T @ D
+    assert np.allclose(np.linalg.eigvalsh(Q), [0, 0, 0, 4, 4, 4], atol=1e-14)
+    x = np.random.default_rng(1).standard_normal(6)
+    S, _, _ = closedform.abc_inequality_check(x[:3, None], x[3:, None], 0.5, 1.0)
+    assert np.isclose(S, x @ Q @ x, rtol=1e-14, atol=0.0)
+    diag = np.concatenate([np.repeat(a[..., None], 3, -1),
+                           np.repeat(b[..., None], 3, -1)], axis=-1)
+    low = np.linalg.eigvalsh(diag[..., None] * np.eye(6) - Q)[..., 0]
+    assert np.all(low >= -1e-15 * np.maximum(a, b))
+    assert np.all(np.abs(low[0]) <= 1e-15 * 4.0)     # omega = 0: a = b = 4
+
+
 def test_abc_inequality_validation():
     z = [np.zeros(2)] * 3
     with pytest.raises(ValueError):

@@ -373,17 +373,19 @@ def test_bottom_path_matches_two_stage_path(operator, k):
 
 def _count_calls(monkeypatch, *names):
     """{name: Counter of the row counts A of each call} for these solvers
-    of scipy.sparse.linalg, as `eigen` calls them."""
+    as `eigen` calls them: its own `_lobpcg`, or one of scipy.sparse.linalg
+    (`eigsh`)."""
     calls = {}
     for name in names:
-        plain = getattr(eigen.spla, name)
+        owner = eigen if name.startswith("_") else eigen.spla
+        plain = getattr(owner, name)
         calls[name] = sizes = collections.Counter()
 
         def counted(A, *args, _plain=plain, _sizes=sizes, **kwargs):
             _sizes[A.shape[0]] += 1
             return _plain(A, *args, **kwargs)
 
-        monkeypatch.setattr(eigen.spla, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -394,15 +396,15 @@ def test_bottom_path_calls_lobpcg_once_per_warm_level(monkeypatch, operator):
     from the bottom and no eigsh call at each, two eigsh calls each with
     stage 1."""
     df, bottom = _half_plane_bottom(operator, 6)
-    calls = _count_calls(monkeypatch, "eigsh", "lobpcg")
+    calls = _count_calls(monkeypatch, "eigsh", "_lobpcg")
     eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
-    once = dict(calls["lobpcg"])
+    once = dict(calls["_lobpcg"])
     assert not calls["eigsh"]
-    calls["lobpcg"].clear()
+    calls["_lobpcg"].clear()
     eigen.lowest_form_eigenpairs(df, 1)
     assert len(once) == 2 and df.n_dofs in once
     assert all(v == 1 for v in once.values())
-    assert not calls["lobpcg"]
+    assert not calls["_lobpcg"]
     assert calls["eigsh"] == {n: 2 for n in once}
 
 
@@ -436,7 +438,7 @@ def test_bottom_above_lambda1_is_refused(solver, monkeypatch):
     lam = sla.eigh(df.A.toarray(), df.M.toarray(), eigvals_only=True,
                    subset_by_index=[0, 1])
     bottom = lam[0] + 0.05 * (lam[1] - lam[0])
-    calls = _count_calls(monkeypatch, "eigsh", "lobpcg")
+    calls = _count_calls(monkeypatch, "eigsh", "_lobpcg")
     with pytest.raises(RuntimeError, match="spectral bottom .* not a lower"):
         if solver == "pencil":
             eigen.lowest_eigenpairs(df.A, df.M, 1, bottom=bottom,
@@ -445,7 +447,101 @@ def test_bottom_above_lambda1_is_refused(solver, monkeypatch):
             eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
     fine = {name: sizes[df.n_dofs] for name, sizes in calls.items()}
     assert fine == {"eigsh": int(solver == "pencil"),
-                    "lobpcg": int(solver == "form")}
+                    "_lobpcg": int(solver == "form")}
+
+
+@pytest.mark.parametrize("operator", ["delta", "delta-prime"])
+def test_lobpcg_helper_against_dense(operator, monkeypatch):
+    """`_lobpcg` on the L5 half-plane pencil, preconditioned by the
+    two-grid cycle at the form's shift from the bottom on
+    `forms.coarse_form`'s level and started from the prolonged coarse
+    eigenvector: the dense lambda_1 to 1e-12, an M-unit vector and a
+    residual within 1e-10.  From the dense v_1 it stops before any
+    preconditioner call.  The form's solve that gives the shift is itself
+    a "lobpcg" solve with scipy's lobpcg made to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(eigen.spla, "lobpcg", refuse)
+    df, bottom = _half_plane_bottom(operator, 5)
+    fine = eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
+    assert fine.method == "lobpcg"
+    cf, P = forms.coarse_form(df)
+    coarse = eigen.lowest_form_eigenpairs(cf, 1, bottom=bottom)
+    cycle = eigen._two_grid(df.A - fine.shift * df.M, P)
+    vals, V = sla.eigh(df.A.toarray(), df.M.toarray(), subset_by_index=[0, 0])
+    lam, v = eigen._lobpcg(df.A, df.M, P @ coarse.eigenvectors[:, 0], cycle)
+    assert abs(lam - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
+    assert abs(v @ (df.M @ v) - 1.0) <= 1e-12
+    assert np.linalg.norm(df.A @ v - lam * (df.M @ v)) <= 1e-10
+    lam, v = eigen._lobpcg(df.A, df.M, V[:, 0], refuse)
+    assert abs(lam - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
+
+
+def _refuse_cholesky(monkeypatch, orders):
+    """Make numpy's Cholesky fail on every single matrix whose order is in
+    orders, as on a Gram matrix of dependent rows; returns the list of the
+    orders refused."""
+    plain, refused = np.linalg.cholesky, []
+
+    def cholesky(a, *args, **kwargs):
+        if np.ndim(a) == 2 and len(a) in orders:
+            refused.append(len(a))
+            raise np.linalg.LinAlgError("refused")
+        return plain(a, *args, **kwargs)
+
+    monkeypatch.setattr(eigen.np.linalg, "cholesky", cholesky)
+    return refused
+
+
+def test_lobpcg_helper_exits(monkeypatch):
+    """Each way `_lobpcg` stops short returns the M-unit iterate and its
+    Rayleigh quotient, on A = diag(1, 2, 3, 4), M = I from x = (1, 1, 1, 1):
+    a preconditioner that returns x makes [x, w] dependent (its Gram
+    Cholesky fails exactly: x is (1/2, 1/2, 1/2, 1/2)), so no step is
+    taken; with p refused at every step, [x, w] alone still reaches
+    lambda_1 = 1; and _MAXITER steps end the loop unconverged."""
+    A, M = sp.diags([1.0, 2.0, 3.0, 4.0]).tocsr(), sp.identity(4, format="csr")
+    ones = np.ones(4)
+
+    def rayleigh(lam, v):
+        assert v @ (M @ v) == pytest.approx(1.0, abs=1e-14)
+        assert lam == pytest.approx(v @ (A @ v), abs=1e-14)
+        return np.linalg.norm(A @ v - lam * (M @ v))
+
+    lam, v = eigen._lobpcg(A, M, ones, lambda r: ones)
+    assert np.array_equal(v, ones / 2) and lam == 2.5
+    assert rayleigh(lam, v) > 1e-10
+
+    with monkeypatch.context() as patch:
+        refused = _refuse_cholesky(patch, {3})
+        lam, v = eigen._lobpcg(A, M, ones, lambda r: r)
+        assert set(refused) == {3} and lam == pytest.approx(1.0)
+        assert rayleigh(lam, v) <= 1e-10
+
+    monkeypatch.setattr(eigen, "_MAXITER", 2)
+    lam, v = eigen._lobpcg(A, M, ones, lambda r: r)
+    assert rayleigh(lam, v) > 1e-10
+
+
+@pytest.mark.parametrize("miss", ["steps", "rank"])
+def test_lobpcg_miss_takes_arpack_fallback(miss, monkeypatch):
+    """A k = 1 solve from the bottom whose `_lobpcg` stops unconverged,
+    after _MAXITER = 0 steps or on a Gram matrix whose Cholesky fails, is
+    solved again by ARPACK from the random start, to the same lambda_1."""
+    df, bottom = _half_plane_bottom("delta", 5)
+    want = eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
+    calls = _count_calls(monkeypatch, "eigsh", "_lobpcg")
+    if miss == "steps":
+        monkeypatch.setattr(eigen, "_MAXITER", 0)
+    else:
+        _refuse_cholesky(monkeypatch, {2, 3})
+    got = eigen.lowest_form_eigenpairs(df, 1, bottom=bottom)
+    assert want.method == "lobpcg" and got.method == "shift-invert"
+    assert got.converged and calls["_lobpcg"][df.n_dofs] == 1
+    assert calls["eigsh"][df.n_dofs] == 1
+    assert abs(got.eigenvalues[0] - want.eigenvalues[0]) <= 1e-12 * abs(
+        want.eigenvalues[0])
 
 
 def test_one_lanczos_policy_for_every_start(monkeypatch):
